@@ -28,10 +28,14 @@ double SecondsSince(Clock::time_point start) {
 /// multiple of the length.
 constexpr double kMaxStretch = 3.0;
 
-/// Set-ups per run: one before the first phase, the rest spread evenly
-/// through it at round boundaries, so that their median is not set by
-/// whatever the host was doing during a single second.
-constexpr int kSetups = 7;
+/// Set-up pauses per run: one before the first phase, the rest spread
+/// evenly through it at round boundaries, so that the median set-up is not
+/// set by whatever the host was doing during a single second.
+constexpr int kSetupPauses = 7;
+
+/// Each pause repeats the set-up until it has taken this long, so that a
+/// short set-up still gives its median many samples.
+constexpr double kMinPauseSeconds = 0.2;
 
 const char* const kScanTemplates[] = {"band_count", "source_rows",
                                       "band_group_avg", "bright_sources",
@@ -141,22 +145,27 @@ std::string Shortfall(const std::map<std::string, SeriesCount>& series) {
   return "";
 }
 
-/// Times one set-up; its spans are kept when `traced`.
-laws::Status TimedSetup(Workload* workload, Tracer* tracer, bool traced,
+/// One set-up pause: set-ups back to back until kMinPauseSeconds have
+/// passed. Their spans are kept when `traced`.
+laws::Status SetupPause(Workload* workload, Tracer* tracer, bool traced,
                         std::vector<double>* setup_seconds) {
   const bool was = tracer->enabled();
   tracer->set_enabled(traced);
   tracer->set_op(0);
-  double seconds = 0.0;
-  const laws::Status status = workload->Setup(&seconds);
+  const auto start = Clock::now();
+  laws::Status status = laws::Status::OK();
+  do {
+    double seconds = 0.0;
+    status = workload->Setup(&seconds);
+    setup_seconds->push_back(seconds);
+  } while (status.ok() && SecondsSince(start) < kMinPauseSeconds);
   tracer->set_enabled(was);
-  setup_seconds->push_back(seconds);
   return status;
 }
 
 /// Runs operations for `seconds` of measured time. When `setups` is given,
-/// kSetups - 1 more set-ups run spread through the phase; the clock stops
-/// while they run.
+/// kSetupPauses - 1 more set-up pauses run spread through the phase; the
+/// clock stops while they run.
 laws::Status RunPhase(Workload* workload, Tracer* tracer, double seconds,
                       bool traced, Guard guard, uint64_t* op_id,
                       std::vector<double>* setups, bool trace_setups,
@@ -170,12 +179,12 @@ laws::Status RunPhase(Workload* workload, Tracer* tracer, double seconds,
   int mid_run_setups = 0;
   while (true) {
     const double elapsed = SecondsSince(start) - paused;
-    if (setups != nullptr && mid_run_setups < kSetups - 1 &&
+    if (setups != nullptr && mid_run_setups < kSetupPauses - 1 &&
         workload->AtBoundary() &&
-        elapsed >= seconds * (mid_run_setups + 1) / kSetups) {
+        elapsed >= seconds * (mid_run_setups + 1) / kSetupPauses) {
       const auto setup_start = Clock::now();
       LAWS_RETURN_IF_ERROR(
-          TimedSetup(workload, tracer, trace_setups, setups));
+          SetupPause(workload, tracer, trace_setups, setups));
       ++mid_run_setups;
       paused += SecondsSince(setup_start);
       continue;
@@ -186,7 +195,6 @@ laws::Status RunPhase(Workload* workload, Tracer* tracer, double seconds,
       break;
     }
     OpResult op;
-    op.round_start = workload->AtBoundary();
     tracer->set_op(++*op_id);
     LAWS_RETURN_IF_ERROR(workload->RunNext(&op));
     for (const Demand& d : DemandsOf(op, guard)) {
@@ -232,65 +240,6 @@ std::vector<double> Millis(const Phase& phase, OpClass cls,
     out.push_back(op.seconds * 1e3);
   }
   return out;
-}
-
-/// Other tenants of the host slow memory-bound work by up to a half, for
-/// seconds or tens of seconds at a time, so a percentile over a whole run
-/// moves with how much of the run they overlap. Each timing is therefore
-/// taken per window and reported at this quantile across windows (for
-/// latencies; throughput at 1 minus it): the quiet windows follow the
-/// program, not its neighbours.
-constexpr double kQuietQuantile = 0.05;
-
-/// Read latencies in windows of whole rounds, so that every window holds
-/// the same mix, each with at least `min_reads` reads; a short tail joins
-/// the window before it.
-std::vector<std::vector<double>> ReadWindows(const Phase& phase,
-                                             size_t min_reads) {
-  std::vector<std::vector<double>> windows;
-  for (const OpResult& op : phase.ops) {
-    if (windows.empty() ||
-        (op.round_start && windows.back().size() >= min_reads)) {
-      windows.emplace_back();
-    }
-    if (op.cls == OpClass::kRead && !op.error) {
-      windows.back().push_back(op.seconds * 1e3);
-    }
-  }
-  if (windows.size() > 1 && windows.back().size() < min_reads) {
-    std::vector<double> tail = std::move(windows.back());
-    windows.pop_back();
-    windows.back().insert(windows.back().end(), tail.begin(), tail.end());
-  }
-  return windows;
-}
-
-double QuietReadQuantile(const Phase& phase, double q) {
-  std::vector<double> per_window;
-  for (const auto& w : ReadWindows(phase, SamplesNeeded(q))) {
-    per_window.push_back(Quantile(w, q));
-  }
-  return Quantile(std::move(per_window), kQuietQuantile);
-}
-
-/// ops_per_s per round of the mix (a deck of reads, or an ingest cycle),
-/// so every window holds the same operations.
-double QuietOpsPerSecond(const Phase& phase) {
-  std::vector<double> per_round;
-  size_t completed = 0;
-  double busy = 0.0;
-  auto close_round = [&] {
-    if (busy > 0.0) per_round.push_back(static_cast<double>(completed) / busy);
-    completed = 0;
-    busy = 0.0;
-  };
-  for (const OpResult& op : phase.ops) {
-    if (op.round_start) close_round();
-    busy += op.seconds;
-    if (!op.error) ++completed;
-  }
-  close_round();
-  return Quantile(std::move(per_round), 1.0 - kQuietQuantile);
 }
 
 /// Readable per-class table: sample count next to each percentile, and a
@@ -406,25 +355,6 @@ const std::vector<MetricSpec>& PerLayerMetrics() {
       {"trace.overhead_ratio", "ratio"},
   };
   return kMetrics;
-}
-
-/// One line per operation, for looking into a run after the fact.
-laws::Status WriteOps(const std::string& path,
-                      const std::vector<const Phase*>& phases) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return laws::Status::IOError("cannot write " + path);
-  std::fprintf(f, "phase\tclass\ttemplate\tround_start\tfailed\tmethod\tms\n");
-  for (size_t p = 0; p < phases.size(); ++p) {
-    for (const OpResult& op : phases[p]->ops) {
-      std::fprintf(f, "%zu\t%s\t%s\t%d\t%d\t%s\t%.6f\n", p,
-                   OpClassName(op.cls), op.tmpl, op.round_start ? 1 : 0,
-                   op.error || op.wrong ? 1 : 0,
-                   op.method.empty() ? "-" : op.method.c_str(),
-                   op.seconds * 1e3);
-    }
-  }
-  return std::fclose(f) == 0 ? laws::Status::OK()
-                             : laws::Status::IOError("cannot close " + path);
 }
 
 class MetricLine {
@@ -600,10 +530,14 @@ laws::Result<std::string> RunBenchmark(const RunConfig& config,
   LAWS_RETURN_IF_ERROR(workload->Prepare());
   std::fprintf(log, "generated rows and reference in %.3f s\n",
                SecondsSince(prepare_start));
+  // peak_rss_mb counts the program's memory: the peak above what the
+  // benchmark's own copies of the rows hold before the first set-up.
+  const double base_rss_mb = ResetPeakRss();
+  std::fprintf(log, "benchmark-side memory %.1f MB\n", base_rss_mb);
 
   std::vector<double> setup_seconds;
   LAWS_RETURN_IF_ERROR(
-      TimedSetup(workload.get(), &tracer, config.trace, &setup_seconds));
+      SetupPause(workload.get(), &tracer, config.trace, &setup_seconds));
   uint64_t op_id = 0;
   Phase untraced;
   Phase traced;
@@ -643,24 +577,21 @@ laws::Result<std::string> RunBenchmark(const RunConfig& config,
   std::fprintf(log, "attempted %zu failed %zu correct %s\n", attempted, failed,
                correct ? "true" : "false");
 
-  const std::string run_name =
-      config.workload + "-" + std::to_string(config.seed);
-  LAWS_RETURN_IF_ERROR(
-      WriteOps(config.work_dir + "/ops-" + run_name + ".tsv",
-               {&untraced, &traced}));
   MetricLine metrics;
   if (config.trace) {
     PerLayer(traced, OpsPerSecond(untraced), tracer, &metrics);
-    const std::string path = config.work_dir + "/trace-" + run_name + ".jsonl";
+    const std::string path = config.work_dir + "/trace-" + config.workload +
+                             "-" + std::to_string(config.seed) + ".jsonl";
     LAWS_RETURN_IF_ERROR(tracer.Write(path));
     std::fprintf(log, "spans written to %s\n", path.c_str());
   } else {
+    const std::vector<double> read_ms = Millis(untraced, OpClass::kRead);
     const std::map<std::string, double> v = {
         {"setup_s", Median(setup_seconds)},
-        {"ops_per_s", QuietOpsPerSecond(untraced)},
-        {"read_p50_ms", QuietReadQuantile(untraced, 0.5)},
-        {"read_p95_ms", QuietReadQuantile(untraced, 0.95)},
-        {"peak_rss_mb", PeakRssMb()},
+        {"ops_per_s", OpsPerSecond(untraced)},
+        {"read_p50_ms", Quantile(read_ms, 0.5)},
+        {"read_p95_ms", Quantile(read_ms, 0.95)},
+        {"peak_rss_mb", PeakRssMb() - base_rss_mb},
     };
     for (const MetricSpec& m : EndToEndMetrics()) {
       metrics.Add(m.name, m.unit, v.at(m.name));

@@ -1,9 +1,12 @@
 #include "stats.h"
 
-#include <sys/resource.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 namespace perfbench {
 
@@ -28,10 +31,36 @@ double Quantile(std::vector<double> samples, double q) {
   return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
-double PeakRssMb() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+namespace {
+
+/// A "<field> <n> kB" line of /proc/self/status, in MB; 0 if absent.
+double StatusMb(const char* field) {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0.0;
+  char line[256];
+  double kb = 0.0;
+  const size_t len = std::strlen(field);
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::strncmp(line, field, len) == 0) {
+      kb = std::strtod(line + len, nullptr);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb / 1024.0;
 }
+
+}  // namespace
+
+double ResetPeakRss() {
+  malloc_trim(0);
+  if (std::FILE* f = std::fopen("/proc/self/clear_refs", "w")) {
+    std::fputs("5", f);  // 5: reset the peak resident set size
+    std::fclose(f);
+  }
+  return StatusMb("VmRSS:");
+}
+
+double PeakRssMb() { return StatusMb("VmHWM:"); }
 
 }  // namespace perfbench

@@ -28,7 +28,13 @@ inline double Median(std::vector<double> samples) {
   return Quantile(std::move(samples), 0.5);
 }
 
-/// Peak resident set size of this process so far, in MB.
+/// Returns freed heap pages to the system, restarts the peak resident set
+/// size from the current one (Linux clear_refs), and returns the current
+/// resident set size, in MB (2^20 bytes).
+double ResetPeakRss();
+
+/// Peak resident set size since the last ResetPeakRss, in MB. Where the
+/// kernel refuses the reset, the peak since the process started.
 double PeakRssMb();
 
 }  // namespace perfbench

@@ -55,9 +55,6 @@ struct OpResult {
   // Checkpoints.
   uint64_t rows_saved = 0;
   uint64_t image_bytes = 0;
-
-  /// The operation opened a new round of the workload's mix.
-  bool round_start = false;
 };
 
 /// Generated data size. Zero fields take the workload's defaults.
