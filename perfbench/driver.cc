@@ -37,6 +37,74 @@ constexpr int kSetupPauses = 7;
 /// short set-up still gives its median many samples.
 constexpr double kMinPauseSeconds = 0.2;
 
+/// The host probe runs at the first operation boundary after this long.
+constexpr double kProbeEverySeconds = 0.02;
+/// An operation counts as run on a quiet host when the probes on both
+/// sides of it read at most (1 + kProbeSlack) times the
+/// kProbeReferenceQuantile of all the phase's probes.
+constexpr double kProbeReferenceQuantile = 0.1;
+constexpr double kProbeSlack = 0.1;
+
+/// Keeps the probe loop from being optimized away.
+volatile uint64_t probe_sink = 0;
+
+/// A fixed loop over 16 KB of the probe's own memory, about 50 us. It
+/// reads no program state. On a shared host, other tenants' load on the
+/// core slows it and the program's reads together, by up to about 2x for
+/// stretches of seconds to minutes, while a plain dependent-multiply loop
+/// barely moves. Returns the loop's time in microseconds.
+double ProbeOnce() {
+  static std::vector<uint32_t> words = [] {
+    std::vector<uint32_t> w(4096);
+    for (size_t i = 0; i < w.size(); ++i) w[i] = static_cast<uint32_t>(i);
+    return w;
+  }();
+  const auto start = Clock::now();
+  uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+  for (uint64_t round = 1; round <= 40; ++round) {
+    for (size_t i = 0; i < words.size(); i += 4) {
+      s0 += words[i] * round;
+      s1 += words[i + 1] ^ s0;
+      s2 += words[i + 2] + (s1 >> 3);
+      s3 += words[i + 3] * s2;
+    }
+  }
+  probe_sink = s0 + s1 + s2 + s3;
+  return SecondsSince(start) * 1e6;
+}
+
+/// The probe readings of a run, in time order. Each timed operation
+/// records the index of the last reading before it; the next reading
+/// follows it.
+class HostProbe {
+ public:
+  /// Takes a reading if kProbeEverySeconds have passed since the last one,
+  /// or always with `force`. Returns the index of the latest reading.
+  uint32_t Tick(bool force) {
+    if (force || values_.empty() ||
+        SecondsSince(last_) >= kProbeEverySeconds) {
+      values_.push_back(ProbeOnce());
+      last_ = Clock::now();
+    }
+    return static_cast<uint32_t>(values_.size() - 1);
+  }
+  /// Readings at or below this mark a quiet host.
+  double Gate() const {
+    return Quantile(values_, kProbeReferenceQuantile) * (1.0 + kProbeSlack);
+  }
+  /// Whether what ran after reading `before`, and before the next
+  /// reading, ran on a quiet host.
+  bool Quiet(uint32_t before, double gate) const {
+    const size_t after = std::min<size_t>(before + 1, values_.size() - 1);
+    return std::max(values_[before], values_[after]) <= gate;
+  }
+  size_t size() const { return values_.size(); }
+
+ private:
+  std::vector<double> values_;
+  Clock::time_point last_;
+};
+
 const char* const kScanTemplates[] = {"band_count", "source_rows",
                                       "band_group_avg", "bright_sources",
                                       "band_topk"};
@@ -78,6 +146,7 @@ enum class Guard { kNone, kEndToEnd, kPerLayer };
 
 struct Phase {
   std::vector<OpResult> ops;
+  std::vector<uint32_t> probe_before;  // per op: HostProbe reading index
   std::map<std::string, uint64_t> counters;  // deltas over the phase
   double governor_peak_p95_bytes = 0.0;
 };
@@ -163,20 +232,51 @@ laws::Status SetupPause(Workload* workload, Tracer* tracer, bool traced,
   return status;
 }
 
+/// Reads that ran on a quiet host, by the probe readings so far.
+size_t QuietReads(const Phase& phase, const HostProbe& probe) {
+  const double gate = probe.Gate();
+  size_t n = 0;
+  for (size_t i = 0; i < phase.ops.size(); ++i) {
+    const OpResult& op = phase.ops[i];
+    if (op.cls == OpClass::kRead && !op.error &&
+        probe.Quiet(phase.probe_before[i], gate)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
 /// Runs operations for `seconds` of measured time. When `setups` is given,
 /// kSetupPauses - 1 more set-up pauses run spread through the phase; the
-/// clock stops while they run.
+/// clock stops while they run. With `probe`, the host probe is read
+/// between operations (outside their timers) and the phase also runs until
+/// the reads on a quiet host support read_p95_ms.
 laws::Status RunPhase(Workload* workload, Tracer* tracer, double seconds,
                       bool traced, Guard guard, uint64_t* op_id,
                       std::vector<double>* setups, bool trace_setups,
-                      Phase* phase) {
+                      HostProbe* probe, Phase* phase) {
   const std::map<std::string, uint64_t> before = ReadCounters();
   GovernorPeak()->Reset();
   std::map<std::string, SeriesCount> series;
   tracer->set_enabled(traced);
   const auto start = Clock::now();
-  double paused = 0.0;  // set-up time, not part of the phase
+  double paused = 0.0;  // set-up and probe time, not part of the phase
   int mid_run_setups = 0;
+  uint32_t reading = 0;
+  if (probe != nullptr) reading = probe->Tick(true);
+  // Once the phase could end, the quiet reads are counted at most every
+  // quarter second, each time after a fresh reading, so that the count
+  // that ends the phase is the one its figures are taken over.
+  auto next_count = start;
+  auto enough_quiet = [&] {
+    if (probe == nullptr) return true;
+    if (Clock::now() < next_count) return false;
+    const auto probe_start = Clock::now();
+    reading = probe->Tick(true);
+    paused += SecondsSince(probe_start);
+    next_count = Clock::now() + std::chrono::milliseconds(250);
+    return Supports(QuietReads(*phase, *probe), 0.95);
+  };
   while (true) {
     const double elapsed = SecondsSince(start) - paused;
     if (setups != nullptr && mid_run_setups < kSetupPauses - 1 &&
@@ -189,9 +289,12 @@ laws::Status RunPhase(Workload* workload, Tracer* tracer, double seconds,
       paused += SecondsSince(setup_start);
       continue;
     }
-    if (elapsed >= seconds * kMaxStretch ||
-        (elapsed >= seconds && workload->AtBoundary() &&
-         Shortfall(series).empty())) {
+    if (elapsed >= seconds && workload->AtBoundary() &&
+        Shortfall(series).empty() && enough_quiet()) {
+      break;
+    }
+    if (elapsed >= seconds * kMaxStretch) {
+      if (probe != nullptr) probe->Tick(true);
       break;
     }
     OpResult op;
@@ -203,6 +306,12 @@ laws::Status RunPhase(Workload* workload, Tracer* tracer, double seconds,
       s.q = std::max(s.q, d.q);
     }
     phase->ops.push_back(std::move(op));
+    phase->probe_before.push_back(reading);
+    if (probe != nullptr) {
+      const auto probe_start = Clock::now();
+      reading = probe->Tick(false);
+      paused += SecondsSince(probe_start);
+    }
   }
   tracer->set_enabled(false);
   for (const auto& [name, value] : ReadCounters()) {
@@ -211,7 +320,14 @@ laws::Status RunPhase(Workload* workload, Tracer* tracer, double seconds,
   if (GovernorPeak()->count() > 0) {
     phase->governor_peak_p95_bytes = GovernorPeak()->Quantile(0.95);
   }
-  const std::string shortfall = Shortfall(series);
+  std::string shortfall = Shortfall(series);
+  if (shortfall.empty() && probe != nullptr) {
+    const size_t quiet = QuietReads(*phase, *probe);
+    if (!Supports(quiet, 0.95)) {
+      shortfall = "reads on a quiet host has " + std::to_string(quiet) +
+                  " samples, p95 needs " + std::to_string(SamplesNeeded(0.95));
+    }
+  }
   if (!shortfall.empty()) {
     return laws::Status::ResourceExhausted(
         "too few samples to report a percentile: " + shortfall);
@@ -221,21 +337,51 @@ laws::Status RunPhase(Workload* workload, Tracer* tracer, double seconds,
 
 double Ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
-double OpsPerSecond(const Phase& phase) {
+/// Which operations of a phase a figure is taken over; empty keeps all.
+using Keep = std::vector<bool>;
+
+bool Kept(const Keep& keep, size_t i) { return keep.empty() || keep[i]; }
+
+/// Completed operations per second of time inside program calls. With a
+/// `keep` subset, each operation kind (class and template) is timed by the
+/// mean of its kept operations and weighted by its count in the whole
+/// phase, so the subset does not shift the mix; a kind with fewer than
+/// kMinKeptPerKind kept operations is timed by all of its operations.
+constexpr size_t kMinKeptPerKind = 5;
+
+double OpsPerSecond(const Phase& phase, const Keep& keep = {}) {
+  struct Kind {
+    size_t n = 0, kept = 0;
+    double seconds = 0.0, kept_seconds = 0.0;
+  };
+  std::map<std::pair<int, std::string>, Kind> kinds;
   size_t completed = 0;
-  double busy = 0.0;
-  for (const OpResult& op : phase.ops) {
-    busy += op.seconds;
+  for (size_t i = 0; i < phase.ops.size(); ++i) {
+    const OpResult& op = phase.ops[i];
+    Kind& k = kinds[{static_cast<int>(op.cls), op.tmpl}];
+    ++k.n;
+    k.seconds += op.seconds;
+    if (Kept(keep, i)) {
+      ++k.kept;
+      k.kept_seconds += op.seconds;
+    }
     if (!op.error) ++completed;
+  }
+  double busy = 0.0;
+  for (const auto& [name, k] : kinds) {
+    busy += k.kept >= kMinKeptPerKind || k.kept == k.n
+                ? k.n * (k.kept_seconds / k.kept)
+                : k.seconds;
   }
   return Ratio(static_cast<double>(completed), busy);
 }
 
 std::vector<double> Millis(const Phase& phase, OpClass cls,
-                           const char* tmpl = nullptr) {
+                           const char* tmpl = nullptr, const Keep& keep = {}) {
   std::vector<double> out;
-  for (const OpResult& op : phase.ops) {
-    if (op.cls != cls || op.error) continue;
+  for (size_t i = 0; i < phase.ops.size(); ++i) {
+    const OpResult& op = phase.ops[i];
+    if (op.cls != cls || op.error || !Kept(keep, i)) continue;
     if (tmpl != nullptr && std::strcmp(op.tmpl, tmpl) != 0) continue;
     out.push_back(op.seconds * 1e3);
   }
@@ -245,18 +391,21 @@ std::vector<double> Millis(const Phase& phase, OpClass cls,
 /// Readable per-class table: sample count next to each percentile, and a
 /// percentile only where the samples support it.
 void PrintClasses(const Phase& phase, const std::vector<const char*>& templates,
-                  std::FILE* log) {
-  std::fprintf(log, "  %-10s %-15s %7s %7s %11s %11s\n", "class", "template",
-               "n", "failed", "p50_ms", "p95_ms");
+                  const Keep& keep, std::FILE* log) {
+  std::fprintf(log, "  %-10s %-15s %7s %7s %7s %11s %11s\n", "class",
+               "template", "n", "failed", "oob", "p50_ms", "p95_ms");
   auto row = [&](OpClass cls, const char* tmpl) {
-    const std::vector<double> ms = Millis(phase, cls, tmpl);
+    const std::vector<double> ms = Millis(phase, cls, tmpl, keep);
     size_t failed = 0;
+    size_t out_of_bound = 0;
     size_t attempted = 0;
-    for (const OpResult& op : phase.ops) {
-      if (op.cls != cls) continue;
+    for (size_t i = 0; i < phase.ops.size(); ++i) {
+      const OpResult& op = phase.ops[i];
+      if (op.cls != cls || !Kept(keep, i)) continue;
       if (tmpl != nullptr && std::strcmp(op.tmpl, tmpl) != 0) continue;
       ++attempted;
       if (op.error || op.wrong) ++failed;
+      if (op.out_of_bound) ++out_of_bound;
     }
     if (attempted == 0) return;
     char p50[32] = "-";
@@ -267,9 +416,9 @@ void PrintClasses(const Phase& phase, const std::vector<const char*>& templates,
     if (Supports(ms.size(), 0.95)) {
       std::snprintf(p95, sizeof p95, "%.4f", Quantile(ms, 0.95));
     }
-    std::fprintf(log, "  %-10s %-15s %7zu %7zu %11s %11s\n",
+    std::fprintf(log, "  %-10s %-15s %7zu %7zu %7zu %11s %11s\n",
                  OpClassName(cls), tmpl == nullptr ? "(all)" : tmpl, ms.size(),
-                 failed, p50, p95);
+                 failed, out_of_bound, p50, p95);
   };
   for (int c = 0; c < kNumOpClasses; ++c) {
     const auto cls = static_cast<OpClass>(c);
@@ -280,13 +429,16 @@ void PrintClasses(const Phase& phase, const std::vector<const char*>& templates,
   }
 }
 
+/// The first few failed and out-of-bound operations.
 void PrintFailures(const Phase& phase, std::FILE* log) {
   size_t shown = 0;
   for (const OpResult& op : phase.ops) {
-    if (!(op.error || op.wrong)) continue;
+    if (!(op.error || op.wrong || op.out_of_bound)) continue;
     if (shown++ == 5) break;
-    std::fprintf(log, "  failed %s/%s%s%s: %s\n", OpClassName(op.cls), op.tmpl,
-                 op.sql.empty() ? "" : " ", op.sql.c_str(), op.detail.c_str());
+    std::fprintf(log, "  %s %s/%s%s%s: %s\n",
+                 op.error || op.wrong ? "failed" : "out of bound",
+                 OpClassName(op.cls), op.tmpl, op.sql.empty() ? "" : " ",
+                 op.sql.c_str(), op.detail.c_str());
   }
 }
 
@@ -305,6 +457,7 @@ const std::vector<MetricSpec>& EndToEndMetrics() {
       {"read_p50_ms", "ms"},
       {"read_p95_ms", "ms"},
       {"peak_rss_mb", "MB"},
+      {"in_bound_ratio", "ratio"},
   };
   return kMetrics;
 }
@@ -402,7 +555,7 @@ void PerLayer(const Phase& traced, double untraced_ops_per_s,
     }
     if (op.model) {
       ++model_answers;
-      if (op.wrong) ++violations;
+      if (op.out_of_bound) ++violations;
       rel_bound.push_back(op.rel_bound);
       if (std::strcmp(op.tmpl, "band_avg") == 0) {
         grid_ms.push_back(tracer.Micros(op.body_span) / 1e3);
@@ -541,15 +694,18 @@ laws::Result<std::string> RunBenchmark(const RunConfig& config,
   uint64_t op_id = 0;
   Phase untraced;
   Phase traced;
+  // End-to-end timings keep what ran on a quiet host.
+  HostProbe probe;
+  const bool gated = !config.trace;
   LAWS_RETURN_IF_ERROR(RunPhase(
       workload.get(), &tracer,
       config.trace ? config.seconds / 2 : config.seconds, false,
       config.trace ? Guard::kNone : Guard::kEndToEnd, &op_id, &setup_seconds,
-      config.trace, &untraced));
+      config.trace, gated ? &probe : nullptr, &untraced));
   if (config.trace) {
     LAWS_RETURN_IF_ERROR(RunPhase(workload.get(), &tracer, config.seconds,
                                   true, Guard::kPerLayer, &op_id, nullptr,
-                                  false, &traced));
+                                  false, nullptr, &traced));
   }
   std::fprintf(log, "setup_s of %zu set-ups:", setup_seconds.size());
   for (double s : setup_seconds) std::fprintf(log, " %.4f", s);
@@ -565,16 +721,44 @@ laws::Result<std::string> RunBenchmark(const RunConfig& config,
       if (op.incorrect) correct = false;
     }
   }
+  // in_bound_ratio: answers within their stated bound (an exact answer's
+  // bound is zero) over all answers of the untraced phase.
+  size_t answers = 0;
+  size_t in_bound = 0;
+  for (const OpResult& op : untraced.ops) {
+    if (op.cls != OpClass::kRead || op.error) continue;
+    ++answers;
+    if (!op.wrong && !op.out_of_bound) ++in_bound;
+  }
+  Keep quiet;
+  if (gated) {
+    const double gate = probe.Gate();
+    for (uint32_t before : untraced.probe_before) {
+      quiet.push_back(probe.Quiet(before, gate));
+    }
+  }
   const std::vector<const char*> templates = workload->Templates();
   std::fprintf(log, "untraced phase:\n");
-  PrintClasses(untraced, templates, log);
+  PrintClasses(untraced, templates, {}, log);
   PrintFailures(untraced, log);
+  if (gated) {
+    const size_t kept = static_cast<size_t>(
+        std::count(quiet.begin(), quiet.end(), true));
+    std::fprintf(log,
+                 "quiet host: %zu probe readings, gate %.1f us; %zu of %zu "
+                 "operations kept\n",
+                 probe.size(), probe.Gate(), kept, quiet.size());
+    PrintClasses(untraced, templates, quiet, log);
+    std::fprintf(log, "  ops_per_s all %.6g quiet %.6g\n",
+                 OpsPerSecond(untraced), OpsPerSecond(untraced, quiet));
+  }
   if (config.trace) {
     std::fprintf(log, "traced phase:\n");
-    PrintClasses(traced, templates, log);
+    PrintClasses(traced, templates, {}, log);
     PrintFailures(traced, log);
   }
-  std::fprintf(log, "attempted %zu failed %zu correct %s\n", attempted, failed,
+  std::fprintf(log, "attempted %zu failed %zu out-of-bound %zu correct %s\n",
+               attempted, failed, answers - in_bound,
                correct ? "true" : "false");
 
   MetricLine metrics;
@@ -585,13 +769,16 @@ laws::Result<std::string> RunBenchmark(const RunConfig& config,
     LAWS_RETURN_IF_ERROR(tracer.Write(path));
     std::fprintf(log, "spans written to %s\n", path.c_str());
   } else {
-    const std::vector<double> read_ms = Millis(untraced, OpClass::kRead);
+    const std::vector<double> read_ms =
+        Millis(untraced, OpClass::kRead, nullptr, quiet);
     const std::map<std::string, double> v = {
         {"setup_s", Median(setup_seconds)},
-        {"ops_per_s", OpsPerSecond(untraced)},
+        {"ops_per_s", OpsPerSecond(untraced, quiet)},
         {"read_p50_ms", Quantile(read_ms, 0.5)},
         {"read_p95_ms", Quantile(read_ms, 0.95)},
         {"peak_rss_mb", PeakRssMb() - base_rss_mb},
+        {"in_bound_ratio", Ratio(static_cast<double>(in_bound),
+                                 static_cast<double>(answers))},
     };
     for (const MetricSpec& m : EndToEndMetrics()) {
       metrics.Add(m.name, m.unit, v.at(m.name));

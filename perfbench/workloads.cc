@@ -175,7 +175,7 @@ void CheckHybrid(const laws::Result<laws::HybridAnswer>& result,
     return;
   }
   if (!(std::fabs(*got - spec.reference) <= bound)) {
-    out->wrong = true;
+    out->out_of_bound = true;
     char buf[160];
     std::snprintf(buf, sizeof buf, "%s answered %.9g, reference %.9g, bound %.3g",
                   result->method.c_str(), *got, spec.reference, bound);
@@ -354,12 +354,14 @@ ReadSpec SourceRead(size_t tmpl, const char* agg, int64_t source,
 }
 
 // ---------------------------------------------------------------------------
-// archive_scan: exact SQL over the paper-size archive, no model.
+// archive_scan: exact SQL over a quarter of the paper-size archive, no
+// model. At the full size, scans take 20-300 ms and a run holds a few
+// hundred, too few for the quiet-host share of them to support a p95.
 
 class ArchiveScan : public LofarWorkload {
  public:
   explicit ArchiveScan(const WorkloadContext& context)
-      : LofarWorkload(context, Scale{1'452'824, 35'692, 0}, /*fit=*/false,
+      : LofarWorkload(context, Scale{363'206, 8'923, 0}, /*fit=*/false,
                       {30, 30, 20, 10, 10}) {}
 
   std::vector<const char*> Templates() const override {

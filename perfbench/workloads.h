@@ -28,8 +28,12 @@ struct OpResult {
   /// A program call returned an error.
   bool error = false;
   /// The answer missed its reference: an exact answer that differs, or a
-  /// model answer farther from the reference than its own bound.
+  /// model answer that is not a single number.
   bool wrong = false;
+  /// A model answer lies farther from the reference than the bound it
+  /// reports. Counted by in_bound_ratio and aqp.bound_violation_ratio, not
+  /// as a failed operation.
+  bool out_of_bound = false;
   /// An answer the program gave as exact, or a restore, disagreed with the
   /// benchmark's record. Makes the whole run incorrect.
   bool incorrect = false;
