@@ -10,8 +10,8 @@
 
 #include "common/random.h"
 #include "query/executor.h"
-#include "query/expr_eval.h"
 #include "query/parser.h"
+#include "query/vector_eval.h"
 #include "storage/catalog.h"
 
 namespace {

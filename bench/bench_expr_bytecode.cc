@@ -1,15 +1,17 @@
-// Expression engine micro-benchmark: tree-walking interpreter vs the
-// compiled bytecode VM (DESIGN.md §13) on 1M-row salted tables.
+// Expression engine micro-benchmark: the compiled bytecode VM
+// (DESIGN.md §13) on 1M-row salted tables.
 //
 // Three shapes, each the hot inner loop of one executor stage:
 //   filter     WHERE predicate -> selected row indices
 //   project    arithmetic SELECT item -> output column
-//   aggregate  full GROUP BY pipeline (keys + agg args through the engine)
+//   aggregate  full GROUP BY pipeline (keys + agg args through the VM)
 //
-// Both engines must produce bit-identical results (checked here, row by
-// row); the bytecode VM must then win by >= 2x on filter and project at
-// the default row count — that is the PR's perf gate, enforced as a
-// shape check like every other bench FATAL.
+// Filter and project results are checked row by row against a plain C++
+// loop over the same columns (bit-identical: the build uses strict ISO
+// floating point, no contraction). Each case records `bytecode_seconds`
+// (best of 5) in the JSON; `tools/bench_compare.py --metric
+// bytecode_seconds` against BENCH_expr_bytecode.json holds it to the
+// repo's 10% regression rule.
 
 #include <cinttypes>
 #include <cmath>
@@ -21,7 +23,6 @@
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "query/expr_eval.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/vector_eval.h"
@@ -103,34 +104,12 @@ bool SameDoubleBits(double a, double b) {
   return ba == bb;
 }
 
-bool ColumnsIdentical(const Column& a, const Column& b) {
-  if (a.size() != b.size() || a.type() != b.type()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a.IsNull(i) != b.IsNull(i)) return false;
-    if (a.IsNull(i)) continue;
-    switch (a.type()) {
-      case DataType::kDouble:
-        if (!SameDoubleBits(a.DoubleAt(i), b.DoubleAt(i))) return false;
-        break;
-      case DataType::kInt64:
-        if (a.Int64At(i) != b.Int64At(i)) return false;
-        break;
-      case DataType::kBool:
-        if (a.BoolAt(i) != b.BoolAt(i)) return false;
-        break;
-      default:
-        return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Banner("Expression engine: tree-walker vs compiled bytecode VM",
-         "batched register VM should beat the boxed-Value interpreter "
-         ">= 2x on filter and project");
+  Banner("Expression engine: compiled bytecode VM",
+         "absolute bytecode_seconds per case, held to 10% by "
+         "bench_compare.py");
 
   size_t rows = 1'000'000;
   for (int i = 1; i + 1 < argc; ++i) {
@@ -139,35 +118,22 @@ int main(int argc, char** argv) {
     }
   }
   const int reps = 5;
-  // The 2x gate only applies at a meaningful scale: tiny --rows runs
-  // (sanitizer smoke) are dominated by compile/setup overhead.
-  const bool enforce_gate = rows >= 256 * 1024;
 
   std::printf("salted table: %zu rows (da: double ~3%% NULL, db: double, "
               "ia/g: int64)\n\n", rows);
   const Table table = MakeSaltedTable(rows);
-  ThreadPool::SetGlobalThreadCount(1);  // expression engines are per-thread
+  const Column& da = table.column(0);
+  const Column& db = table.column(1);
+  const Column& ia = table.column(2);
+  ThreadPool::SetGlobalThreadCount(1);  // the VM runs per thread
 
   JsonReport json(JsonPathFromArgs(argc, argv));
-  bool gate_failed = false;
-
-  struct CaseRow {
-    const char* name;
-    double treewalk_s;
-    double bytecode_s;
-    bool gated;
-  };
-  std::vector<CaseRow> table_rows;
-
-  auto record = [&](const char* name, double tw, double bc, bool gated) {
-    table_rows.push_back({name, tw, bc, gated});
+  auto record = [&](const char* name, double seconds) {
+    std::printf("%-10s %10.4f s\n", name, seconds);
     json.Begin(std::string("expr_bytecode_") + name);
     json.Field("rows", rows);
     ThreadSweepFields(json, 1);
-    json.Field("treewalk_seconds", tw);
-    json.Field("bytecode_seconds", bc);
-    json.Field("speedup", bc > 0.0 ? tw / bc : 0.0);
-    json.Field("gate_2x", gated);
+    json.Field("bytecode_seconds", seconds);
   };
 
   // --- filter: WHERE predicate over all rows -> selected indices --------
@@ -176,23 +142,26 @@ int main(int argc, char** argv) {
         "SELECT da FROM t WHERE da * 0.5 + db > ia / 3.0 AND da < 90.0"),
         "parse filter");
     const Expr& pred = *WhereOf(stmt);
-    std::vector<uint32_t> tw_sel, bc_sel;
-    const double tw = BestSeconds(reps, [&] {
-      tw_sel = Unwrap(FilterRows(pred, table), "treewalk filter");
-    });
-    SetGlobalExprEngine(ExprEngine::kBytecode);
+    std::vector<uint32_t> sel;
     const double bc = BestSeconds(reps, [&] {
-      bc_sel = Unwrap(FilterRowsAuto(pred, table), "bytecode filter");
+      sel = Unwrap(FilterRows(pred, table), "filter");
     });
-    if (tw_sel != bc_sel) {
-      std::fprintf(stderr, "FATAL: filter selection diverged "
-                   "(treewalk %zu rows, bytecode %zu rows)\n",
-                   tw_sel.size(), bc_sel.size());
+    std::vector<uint32_t> want;
+    for (size_t i = 0; i < rows; ++i) {
+      if (da.IsNull(i)) continue;  // NULL AND x is never TRUE here
+      const double a = da.DoubleAt(i);
+      if (a * 0.5 + db.DoubleAt(i) >
+              static_cast<double>(ia.Int64At(i)) / 3.0 &&
+          a < 90.0) {
+        want.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    if (sel != want) {
+      std::fprintf(stderr, "FATAL: filter selected %zu rows, the reference "
+                   "loop %zu\n", sel.size(), want.size());
       return 1;
     }
-    std::printf("filter:    %zu of %zu rows selected, identical on both "
-                "engines\n", tw_sel.size(), rows);
-    record("filter", tw, bc, true);
+    record("filter", bc);
   }
 
   // --- project: arithmetic SELECT item -> output column -----------------
@@ -201,21 +170,25 @@ int main(int argc, char** argv) {
         "SELECT da * da + db * db - 2.0 * da * db + ln(db) + abs(da) "
         "FROM t"), "parse project");
     const Expr& item = *stmt.select_list[0].expr;
-    Column tw_col(DataType::kDouble), bc_col(DataType::kDouble);
-    const double tw = BestSeconds(reps, [&] {
-      tw_col = Unwrap(EvaluateExpr(item, table), "treewalk project");
-    });
+    Column col(DataType::kDouble);
     const double bc = BestSeconds(reps, [&] {
-      bc_col = Unwrap(EvaluateExprAuto(item, table), "bytecode project");
+      col = Unwrap(EvaluateExpr(item, table), "project");
     });
-    if (!ColumnsIdentical(tw_col, bc_col)) {
-      std::fprintf(stderr, "FATAL: project output diverged between "
-                   "engines\n");
-      return 1;
+    for (size_t i = 0; i < rows; ++i) {
+      bool same = col.IsNull(i) == da.IsNull(i);
+      if (same && !da.IsNull(i)) {
+        const double a = da.DoubleAt(i), b = db.DoubleAt(i);
+        same = SameDoubleBits(
+            col.DoubleAt(i),
+            a * a + b * b - 2.0 * a * b + std::log(b) + std::fabs(a));
+      }
+      if (!same) {
+        std::fprintf(stderr, "FATAL: project row %zu differs from the "
+                     "reference loop\n", i);
+        return 1;
+      }
     }
-    std::printf("project:   %zu output values, bit-identical on both "
-                "engines\n", rows);
-    record("project", tw, bc, true);
+    record("project", bc);
   }
 
   // --- aggregate: full GROUP BY pipeline through the executor -----------
@@ -223,56 +196,27 @@ int main(int argc, char** argv) {
     auto stmt = Unwrap(ParseSelect(
         "SELECT g, SUM(da * db + 1.5), COUNT(*) FROM t GROUP BY g "
         "ORDER BY g"), "parse aggregate");
-    SetGlobalExprEngine(ExprEngine::kTreewalk);
-    Table tw_out{Schema{}}, bc_out{Schema{}};
-    const double tw = BestSeconds(reps, [&] {
-      tw_out = Unwrap(ExecuteSelectOnTable(table, stmt), "treewalk agg");
-    });
-    SetGlobalExprEngine(ExprEngine::kBytecode);
+    Table out{Schema{}};
     const double bc = BestSeconds(reps, [&] {
-      bc_out = Unwrap(ExecuteSelectOnTable(table, stmt), "bytecode agg");
+      out = Unwrap(ExecuteSelectOnTable(table, stmt), "aggregate");
     });
-    bool same = tw_out.num_rows() == bc_out.num_rows() &&
-                tw_out.num_columns() == bc_out.num_columns();
-    for (size_t c = 0; same && c < tw_out.num_columns(); ++c) {
-      same = ColumnsIdentical(tw_out.column(c), bc_out.column(c));
+    int64_t counted = 0;
+    for (size_t r = 0; r < out.num_rows(); ++r) {
+      counted += out.column(2).Int64At(r);
     }
-    if (!same) {
-      std::fprintf(stderr, "FATAL: aggregate result diverged between "
-                   "engines\n");
+    if (rows >= 64 * 1024 &&
+        (out.num_rows() != 64 || counted != static_cast<int64_t>(rows))) {
+      std::fprintf(stderr, "FATAL: aggregate produced %zu groups over "
+                   "%" PRId64 " rows\n", out.num_rows(), counted);
       return 1;
     }
-    std::printf("aggregate: %zu groups, bit-identical on both engines\n\n",
-                tw_out.num_rows());
-    // Aggregation itself (hash table, sort) dominates; the engine only
-    // feeds it, so no 2x gate here — informational.
-    record("aggregate", tw, bc, false);
-  }
-
-  std::printf("%-10s %14s %14s %9s %8s\n", "case", "treewalk s",
-              "bytecode s", "speedup", "gate");
-  for (const CaseRow& r : table_rows) {
-    const double speedup = r.bytecode_s > 0.0 ? r.treewalk_s / r.bytecode_s
-                                              : 0.0;
-    const bool pass = !r.gated || !enforce_gate || speedup >= 2.0;
-    std::printf("%-10s %14.4f %14.4f %8.2fx %8s\n", r.name, r.treewalk_s,
-                r.bytecode_s, speedup,
-                r.gated ? (enforce_gate ? (pass ? "PASS" : "FAIL")
-                                        : "skipped")
-                        : "-");
-    if (!pass) gate_failed = true;
+    record("aggregate", bc);
   }
 
   MetricsFields(json);
   json.Flush();
   ThreadPool::SetGlobalThreadCount(0);
-
-  if (gate_failed) {
-    std::fprintf(stderr, "\nFATAL: bytecode VM under 2x on a gated case — "
-                 "the compiled tier is not earning its keep\n");
-    return 1;
-  }
-  std::printf("\nSHAPE OK: bytecode VM >= 2x on filter and project%s\n",
-              enforce_gate ? "" : " (gate skipped at reduced --rows)");
+  std::printf("\nSHAPE OK: filter and project match the reference loops; "
+              "compare bytecode_seconds with tools/bench_compare.py\n");
   return 0;
 }

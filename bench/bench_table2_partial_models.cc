@@ -14,8 +14,8 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "core/session.h"
-#include "query/expr_eval.h"
 #include "query/parser.h"
+#include "query/vector_eval.h"
 #include "storage/catalog.h"
 
 int main() {

@@ -5,8 +5,8 @@
 
 #include "model/grouped_fit.h"
 #include "model/model.h"
-#include "query/expr_eval.h"
 #include "query/parser.h"
+#include "query/vector_eval.h"
 
 namespace laws {
 

@@ -1,7 +1,7 @@
 #include "core/strawman.h"
 
-#include "query/expr_eval.h"
 #include "query/parser.h"
+#include "query/vector_eval.h"
 
 namespace laws {
 

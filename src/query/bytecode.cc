@@ -2,18 +2,19 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "query/expr_eval.h"
+#include "query/vector_eval.h"
 
 namespace laws {
 namespace {
 
 /// The compiler's view of one evaluated subexpression: which register it
 /// lives in and its static type. Every node's type is fully determined by
-/// the schema (the tree-walker's EvalResult::type() is data-independent),
-/// which is what makes ahead-of-time specialization sound.
+/// the schema, which is what makes ahead-of-time specialization (and
+/// compile-time diagnostics) sound.
 struct NodeRes {
   uint16_t slot = 0;
   DataType type = DataType::kDouble;
@@ -23,8 +24,7 @@ bool IsNumeric(DataType t) { return t != DataType::kString; }
 
 /// True when the subtree references no column, aggregate or star — i.e.
 /// EvaluateConstant can fold it (modulo runtime errors, which veto the
-/// fold and leave the instruction sequence to error identically at run
-/// time).
+/// fold and leave the instruction sequence to error at run time).
 bool IsConstSubtree(const Expr& e) {
   if (e.kind == ExprKind::kColumnRef || e.kind == ExprKind::kAggregate ||
       e.kind == ExprKind::kStar) {
@@ -42,7 +42,8 @@ bool IsConstSubtree(const Expr& e) {
 /// would collide and the second occurrence would be rewired onto the
 /// first one's register — wrong value, or wrong static type for the
 /// CASE/COALESCE unification rules. This key tags every node kind and
-/// renders literals exactly (doubles by bit pattern).
+/// renders literals exactly (doubles by bit pattern, strings and names
+/// length-prefixed so their contents cannot forge the delimiters).
 void AppendCseKey(const Expr& e, std::string* out) {
   switch (e.kind) {
     case ExprKind::kLiteral: {
@@ -64,12 +65,16 @@ void AppendCseKey(const Expr& e, std::string* out) {
         *out += buf;
       } else {
         *out += "Ls";
+        *out += std::to_string(v.str().size());
+        *out += ":";
         *out += v.str();
       }
       break;
     }
     case ExprKind::kColumnRef:
       *out += "C";
+      *out += std::to_string(e.column_name.size());
+      *out += ":";
       *out += e.column_name;
       break;
     case ExprKind::kUnary:
@@ -111,17 +116,52 @@ std::string CseKey(const Expr& e) {
   return key;
 }
 
+/// Picks the member of an opcode family by its output type.
+OpCode ByType(DataType t, OpCode i64, OpCode f64, OpCode b8, OpCode str) {
+  switch (t) {
+    case DataType::kInt64:
+      return i64;
+    case DataType::kDouble:
+      return f64;
+    case DataType::kBool:
+      return b8;
+    case DataType::kString:
+      return str;
+  }
+  return f64;
+}
+
+/// Result type of CASE / COALESCE over branch types: all strings stay
+/// STRING; within the numeric family only a uniform INT64 or BOOL list
+/// keeps its type and any mix promotes to DOUBLE. nullopt when strings
+/// and numerics mix.
+std::optional<DataType> UnifyBranches(const std::vector<NodeRes>& branches) {
+  bool any_string = false, all_string = true, all_int = true, all_bool = true;
+  for (const NodeRes& r : branches) {
+    any_string |= r.type == DataType::kString;
+    all_string &= r.type == DataType::kString;
+    all_int &= r.type == DataType::kInt64;
+    all_bool &= r.type == DataType::kBool;
+  }
+  if (any_string && !all_string) return std::nullopt;
+  return all_string ? DataType::kString
+         : all_int  ? DataType::kInt64
+         : all_bool ? DataType::kBool
+                    : DataType::kDouble;
+}
+
 class Compiler {
  public:
-  explicit Compiler(const Schema& schema) : schema_(schema) {}
+  /// `fold` enables constant folding; EvaluateConstant compiles with it
+  /// off, since it is itself the folding primitive.
+  Compiler(const Schema& schema, bool fold) : schema_(schema), fold_(fold) {}
 
-  std::optional<CompiledExpr> Compile(const Expr& expr) {
+  Result<CompiledExpr> Compile(const Expr& expr) {
     CountUses(expr);
-    auto root = CompileNode(expr);
-    if (!root.has_value()) return std::nullopt;
+    LAWS_ASSIGN_OR_RETURN(NodeRes root, CompileNode(expr));
     program_.num_slots = next_slot_;
-    program_.result_slot = root->slot;
-    program_.result_type = root->type;
+    program_.result_slot = root.slot;
+    program_.result_type = root.type;
     return std::move(program_);
   }
 
@@ -164,15 +204,24 @@ class Compiler {
     return NodeRes{ins.out, out_type};
   }
 
+  /// Emits an n-ary select over `slots`, releasing them.
+  NodeRes EmitList(OpCode op, DataType out_type, std::vector<uint16_t> slots) {
+    for (uint16_t s : slots) ReleaseSlot(s);
+    const auto list = static_cast<uint32_t>(program_.arg_lists.size());
+    program_.arg_lists.push_back(std::move(slots));
+    return Emit(op, out_type, 0, 0, list);
+  }
+
   NodeRes EmitConst(const Value& v) {
     if (v.is_null()) {
-      // The tree-walker types a NULL literal as DOUBLE.
+      // A NULL literal is typed DOUBLE.
       return Emit(OpCode::kConstNull, DataType::kDouble);
     }
     const auto idx = static_cast<uint32_t>(program_.constants.size());
     program_.constants.push_back(v);
     if (v.is_int64()) return Emit(OpCode::kConstI64, DataType::kInt64, 0, 0, idx);
     if (v.is_double()) return Emit(OpCode::kConstF64, DataType::kDouble, 0, 0, idx);
+    if (v.is_string()) return Emit(OpCode::kConstStr, DataType::kString, 0, 0, idx);
     return Emit(OpCode::kConstBool, DataType::kBool, 0, 0, idx);
   }
 
@@ -186,41 +235,47 @@ class Compiler {
     return Emit(op, DataType::kDouble, r.slot);
   }
 
+  NodeRes EmitUnary(OpCode op, DataType out_type, NodeRes operand) {
+    ReleaseSlot(operand.slot);
+    return Emit(op, out_type, operand.slot);
+  }
+
+  NodeRes EmitBinary(OpCode op, DataType out_type, NodeRes a, NodeRes b) {
+    ReleaseSlot(a.slot);
+    ReleaseSlot(b.slot);
+    return Emit(op, out_type, a.slot, b.slot);
+  }
+
   /// Memoizing compile: shared subexpressions (by exact structural
   /// identity — see CseKey) compile once into a pinned register.
-  std::optional<NodeRes> CompileNode(const Expr& e) {
+  Result<NodeRes> CompileNode(const Expr& e) {
     const std::string repr = CseKey(e);
     auto hit = memo_.find(repr);
     if (hit != memo_.end()) return hit->second;
 
-    std::optional<NodeRes> res = CompileNodeUncached(e);
-    if (res.has_value() && use_count_[repr] > 1) {
-      pinned_.insert(res->slot);
-      memo_.emplace(repr, *res);
+    LAWS_ASSIGN_OR_RETURN(NodeRes res, CompileNodeUncached(e));
+    if (use_count_[repr] > 1) {
+      pinned_.insert(res.slot);
+      memo_.emplace(repr, res);
     }
     return res;
   }
 
-  std::optional<NodeRes> CompileNodeUncached(const Expr& e) {
+  Result<NodeRes> CompileNodeUncached(const Expr& e) {
     // Constant folding: a column-free subtree that evaluates cleanly
     // becomes one load from the literal pool. A fold-time error (1/0,
-    // overflow) vetoes the fold so the runtime errors exactly when the
-    // tree-walker would (i.e. only when rows actually flow through). A
-    // NULL fold result also vetoes: the folded value would forget the
-    // operator's static output type (nullif(c, c) stays INT64, a NULL
-    // comparison stays BOOL), so the subtree compiles normally and the
-    // type rules below reproduce the tree-walker's column type.
-    if (e.kind != ExprKind::kLiteral && IsConstSubtree(e)) {
+    // overflow) vetoes the fold so the runtime errors only when rows
+    // actually flow through; a static error vetoes it too and is raised
+    // by the in-place compile below. A NULL fold result also vetoes: the
+    // folded value would forget the operator's static output type
+    // (nullif(c, c) stays INT64, a NULL comparison stays BOOL).
+    if (fold_ && e.kind != ExprKind::kLiteral && IsConstSubtree(e)) {
       Result<Value> folded = EvaluateConstant(e);
-      if (folded.ok() && !folded->is_null()) {
-        if (folded->is_string()) return std::nullopt;
-        return EmitConst(*folded);
-      }
+      if (folded.ok() && !folded->is_null()) return EmitConst(*folded);
     }
 
     switch (e.kind) {
       case ExprKind::kLiteral:
-        if (e.literal.is_string()) return std::nullopt;
         return EmitConst(e.literal);
       case ExprKind::kColumnRef:
         return CompileColumnRef(e);
@@ -233,62 +288,44 @@ class Compiler {
       case ExprKind::kCase:
         return CompileCase(e);
       case ExprKind::kAggregate:
+        return Status::InvalidArgument(
+            "aggregate in scalar context (missing GROUP BY handling?)");
       case ExprKind::kStar:
-        return std::nullopt;
+        return Status::InvalidArgument("* outside COUNT(*)");
     }
-    return std::nullopt;
+    return Status::Internal("bad expression kind");
   }
 
-  std::optional<NodeRes> CompileColumnRef(const Expr& e) {
-    Result<size_t> idx = schema_.FieldIndex(e.column_name);
-    if (!idx.ok()) return std::nullopt;  // tree-walker raises NotFound
-    const DataType t = schema_.field(*idx).type;
-    OpCode op;
-    switch (t) {
-      case DataType::kInt64:
-        op = OpCode::kLoadColI64;
-        break;
-      case DataType::kDouble:
-        op = OpCode::kLoadColF64;
-        break;
-      case DataType::kBool:
-        op = OpCode::kLoadColBool;
-        break;
-      case DataType::kString:
-        return std::nullopt;  // strings stay on the tree-walker tier
-      default:
-        return std::nullopt;
-    }
+  Result<NodeRes> CompileColumnRef(const Expr& e) {
+    LAWS_ASSIGN_OR_RETURN(size_t idx, schema_.FieldIndex(e.column_name));
+    const DataType t = schema_.field(idx).type;
     const auto ref = static_cast<uint32_t>(program_.columns.size());
-    program_.columns.push_back(
-        {static_cast<uint32_t>(*idx), e.column_name});
-    return Emit(op, t, 0, 0, ref);
+    program_.columns.push_back({static_cast<uint32_t>(idx), e.column_name});
+    return Emit(ByType(t, OpCode::kLoadColI64, OpCode::kLoadColF64,
+                       OpCode::kLoadColBool, OpCode::kLoadColStr),
+                t, 0, 0, ref);
   }
 
-  std::optional<NodeRes> CompileUnary(const Expr& e) {
-    auto operand = CompileNode(*e.children[0]);
-    if (!operand.has_value()) return std::nullopt;
+  Result<NodeRes> CompileUnary(const Expr& e) {
+    LAWS_ASSIGN_OR_RETURN(NodeRes operand, CompileNode(*e.children[0]));
     if (e.unary_op == UnaryOp::kNegate) {
-      if (!IsNumeric(operand->type)) return std::nullopt;
-      if (operand->type == DataType::kInt64) {
-        ReleaseSlot(operand->slot);
-        return Emit(OpCode::kNegI64, DataType::kInt64, operand->slot);
+      if (!IsNumeric(operand.type)) {
+        return Status::TypeMismatch("cannot negate a string");
       }
-      NodeRes v = ToF64(*operand);
-      ReleaseSlot(v.slot);
-      return Emit(OpCode::kNegF64, DataType::kDouble, v.slot);
+      if (operand.type == DataType::kInt64) {
+        return EmitUnary(OpCode::kNegI64, DataType::kInt64, operand);
+      }
+      return EmitUnary(OpCode::kNegF64, DataType::kDouble, ToF64(operand));
     }
-    // NOT
-    if (operand->type != DataType::kBool) return std::nullopt;
-    ReleaseSlot(operand->slot);
-    return Emit(OpCode::kNotBool, DataType::kBool, operand->slot);
+    if (operand.type != DataType::kBool) {
+      return Status::TypeMismatch("NOT requires a boolean operand");
+    }
+    return EmitUnary(OpCode::kNotBool, DataType::kBool, operand);
   }
 
-  std::optional<NodeRes> CompileBinary(const Expr& e) {
-    auto lhs = CompileNode(*e.children[0]);
-    if (!lhs.has_value()) return std::nullopt;
-    auto rhs = CompileNode(*e.children[1]);
-    if (!rhs.has_value()) return std::nullopt;
+  Result<NodeRes> CompileBinary(const Expr& e) {
+    LAWS_ASSIGN_OR_RETURN(NodeRes lhs, CompileNode(*e.children[0]));
+    LAWS_ASSIGN_OR_RETURN(NodeRes rhs, CompileNode(*e.children[1]));
 
     switch (e.binary_op) {
       case BinaryOp::kAdd:
@@ -296,11 +333,11 @@ class Compiler {
       case BinaryOp::kMultiply:
       case BinaryOp::kDivide:
       case BinaryOp::kModulo: {
-        if (!IsNumeric(lhs->type) || !IsNumeric(rhs->type)) {
-          return std::nullopt;
+        if (!IsNumeric(lhs.type) || !IsNumeric(rhs.type)) {
+          return Status::TypeMismatch("arithmetic on non-numeric operand");
         }
-        const bool int_result = lhs->type == DataType::kInt64 &&
-                                rhs->type == DataType::kInt64 &&
+        const bool int_result = lhs.type == DataType::kInt64 &&
+                                rhs.type == DataType::kInt64 &&
                                 e.binary_op != BinaryOp::kDivide;
         if (int_result) {
           OpCode op;
@@ -310,12 +347,10 @@ class Compiler {
             case BinaryOp::kMultiply: op = OpCode::kMulI64; break;
             default:                  op = OpCode::kModI64; break;
           }
-          ReleaseSlot(lhs->slot);
-          ReleaseSlot(rhs->slot);
-          return Emit(op, DataType::kInt64, lhs->slot, rhs->slot);
+          return EmitBinary(op, DataType::kInt64, lhs, rhs);
         }
-        NodeRes a = ToF64(*lhs);
-        NodeRes b = ToF64(*rhs);
+        NodeRes a = ToF64(lhs);
+        NodeRes b = ToF64(rhs);
         OpCode op;
         switch (e.binary_op) {
           case BinaryOp::kAdd:      op = OpCode::kAddF64; break;
@@ -324,9 +359,7 @@ class Compiler {
           case BinaryOp::kDivide:   op = OpCode::kDivF64; break;
           default:                  op = OpCode::kModF64; break;
         }
-        ReleaseSlot(a.slot);
-        ReleaseSlot(b.slot);
-        return Emit(op, DataType::kDouble, a.slot, b.slot);
+        return EmitBinary(op, DataType::kDouble, a, b);
       }
       case BinaryOp::kEqual:
       case BinaryOp::kNotEqual:
@@ -334,64 +367,71 @@ class Compiler {
       case BinaryOp::kLessEqual:
       case BinaryOp::kGreater:
       case BinaryOp::kGreaterEqual: {
-        // String comparison stays on the tree-walker; numeric pairs
-        // compare through double coercion (§11 comparison horizon).
-        if (!IsNumeric(lhs->type) || !IsNumeric(rhs->type)) {
-          return std::nullopt;
+        // Two strings compare bytewise; numeric pairs compare through
+        // double coercion (§11 comparison horizon).
+        const bool strings =
+            lhs.type == DataType::kString && rhs.type == DataType::kString;
+        if (!strings && (!IsNumeric(lhs.type) || !IsNumeric(rhs.type))) {
+          return Status::TypeMismatch("cannot compare string with numeric");
         }
-        NodeRes a = ToF64(*lhs);
-        NodeRes b = ToF64(*rhs);
-        OpCode op;
+        // Offset of the comparison within its family, in OpCode order.
+        static_assert(static_cast<int>(OpCode::kCmpGeF64) -
+                          static_cast<int>(OpCode::kCmpEqF64) == 5 &&
+                      static_cast<int>(OpCode::kCmpGeStr) -
+                          static_cast<int>(OpCode::kCmpEqStr) == 5);
+        int k;
         switch (e.binary_op) {
-          case BinaryOp::kEqual:        op = OpCode::kCmpEqF64; break;
-          case BinaryOp::kNotEqual:     op = OpCode::kCmpNeF64; break;
-          case BinaryOp::kLess:         op = OpCode::kCmpLtF64; break;
-          case BinaryOp::kLessEqual:    op = OpCode::kCmpLeF64; break;
-          case BinaryOp::kGreater:      op = OpCode::kCmpGtF64; break;
-          default:                      op = OpCode::kCmpGeF64; break;
+          case BinaryOp::kEqual:     k = 0; break;
+          case BinaryOp::kNotEqual:  k = 1; break;
+          case BinaryOp::kLess:      k = 2; break;
+          case BinaryOp::kLessEqual: k = 3; break;
+          case BinaryOp::kGreater:   k = 4; break;
+          default:                   k = 5; break;
         }
-        ReleaseSlot(a.slot);
-        ReleaseSlot(b.slot);
-        return Emit(op, DataType::kBool, a.slot, b.slot);
+        const OpCode base = strings ? OpCode::kCmpEqStr : OpCode::kCmpEqF64;
+        const auto op = static_cast<OpCode>(static_cast<int>(base) + k);
+        if (strings) return EmitBinary(op, DataType::kBool, lhs, rhs);
+        NodeRes a = ToF64(lhs);
+        NodeRes b = ToF64(rhs);
+        return EmitBinary(op, DataType::kBool, a, b);
       }
       case BinaryOp::kAnd:
       case BinaryOp::kOr: {
-        if (lhs->type != DataType::kBool || rhs->type != DataType::kBool) {
-          return std::nullopt;
+        if (lhs.type != DataType::kBool || rhs.type != DataType::kBool) {
+          return Status::TypeMismatch("AND/OR require boolean operands");
         }
         const OpCode op = e.binary_op == BinaryOp::kAnd ? OpCode::kAnd3VL
                                                         : OpCode::kOr3VL;
-        ReleaseSlot(lhs->slot);
-        ReleaseSlot(rhs->slot);
-        return Emit(op, DataType::kBool, lhs->slot, rhs->slot);
+        return EmitBinary(op, DataType::kBool, lhs, rhs);
       }
     }
-    return std::nullopt;
+    return Status::Internal("bad binary op");
   }
 
-  std::optional<NodeRes> CompileFunction(const Expr& e) {
+  Result<NodeRes> CompileFunction(const Expr& e) {
     const std::string& f = e.function_name;
 
-    auto unary_f64 = [&](OpCode op) -> std::optional<NodeRes> {
-      if (e.children.size() != 1) return std::nullopt;
-      auto arg = CompileNode(*e.children[0]);
-      if (!arg.has_value() || !IsNumeric(arg->type)) return std::nullopt;
-      NodeRes a = ToF64(*arg);
-      ReleaseSlot(a.slot);
-      return Emit(op, DataType::kDouble, a.slot);
+    auto numeric_arg = [&]() -> Result<NodeRes> {
+      if (e.children.size() != 1) {
+        return Status::InvalidArgument(f + "() takes one argument");
+      }
+      LAWS_ASSIGN_OR_RETURN(NodeRes a, CompileNode(*e.children[0]));
+      if (!IsNumeric(a.type)) {
+        return Status::TypeMismatch(f + "() requires a numeric argument");
+      }
+      return a;
+    };
+    auto unary_f64 = [&](OpCode op) -> Result<NodeRes> {
+      LAWS_ASSIGN_OR_RETURN(NodeRes a, numeric_arg());
+      return EmitUnary(op, DataType::kDouble, ToF64(a));
     };
 
     if (f == "abs") {
-      if (e.children.size() != 1) return std::nullopt;
-      auto arg = CompileNode(*e.children[0]);
-      if (!arg.has_value() || !IsNumeric(arg->type)) return std::nullopt;
-      if (arg->type == DataType::kInt64) {
-        ReleaseSlot(arg->slot);
-        return Emit(OpCode::kAbsI64, DataType::kInt64, arg->slot);
+      LAWS_ASSIGN_OR_RETURN(NodeRes a, numeric_arg());
+      if (a.type == DataType::kInt64) {
+        return EmitUnary(OpCode::kAbsI64, DataType::kInt64, a);
       }
-      NodeRes a = ToF64(*arg);
-      ReleaseSlot(a.slot);
-      return Emit(OpCode::kAbsF64, DataType::kDouble, a.slot);
+      return EmitUnary(OpCode::kAbsF64, DataType::kDouble, ToF64(a));
     }
     if (f == "ln" || f == "log") return unary_f64(OpCode::kLnF64);
     if (f == "log10") return unary_f64(OpCode::kLog10F64);
@@ -402,100 +442,86 @@ class Compiler {
     if (f == "floor") return unary_f64(OpCode::kFloorF64);
     if (f == "ceil") return unary_f64(OpCode::kCeilF64);
     if (f == "round") return unary_f64(OpCode::kRoundF64);
-    if (f == "pow" || f == "power") {
-      if (e.children.size() != 2) return std::nullopt;
-      auto lhs = CompileNode(*e.children[0]);
-      if (!lhs.has_value() || !IsNumeric(lhs->type)) return std::nullopt;
-      auto rhs = CompileNode(*e.children[1]);
-      if (!rhs.has_value() || !IsNumeric(rhs->type)) return std::nullopt;
-      NodeRes a = ToF64(*lhs);
-      NodeRes b = ToF64(*rhs);
-      ReleaseSlot(a.slot);
-      ReleaseSlot(b.slot);
-      return Emit(OpCode::kPowF64, DataType::kDouble, a.slot, b.slot);
-    }
     if (f == "coalesce") {
-      if (e.children.empty()) return std::nullopt;
-      std::vector<NodeRes> args;
-      bool all_int = true, all_bool = true;
-      for (const auto& child : e.children) {
-        auto a = CompileNode(*child);
-        if (!a.has_value() || !IsNumeric(a->type)) return std::nullopt;
-        all_int &= a->type == DataType::kInt64;
-        all_bool &= a->type == DataType::kBool;
-        args.push_back(*a);
+      if (e.children.empty()) {
+        return Status::InvalidArgument("coalesce() needs arguments");
       }
-      // Numeric family unification, exactly as the tree-walker: a uniform
-      // INT64 or BOOL list keeps its type, any mix promotes to DOUBLE.
-      const DataType t = all_int    ? DataType::kInt64
-                         : all_bool ? DataType::kBool
-                                    : DataType::kDouble;
-      const OpCode op = all_int    ? OpCode::kCoalesceI64
-                        : all_bool ? OpCode::kCoalesceBool
-                                   : OpCode::kCoalesceF64;
+      std::vector<NodeRes> args;
+      for (const auto& child : e.children) {
+        LAWS_ASSIGN_OR_RETURN(NodeRes a, CompileNode(*child));
+        args.push_back(a);
+      }
+      const std::optional<DataType> t = UnifyBranches(args);
+      if (!t.has_value()) {
+        return Status::TypeMismatch("coalesce() mixes strings and numerics");
+      }
       std::vector<uint16_t> slots;
       for (NodeRes& a : args) {
-        if (t == DataType::kDouble) a = ToF64(a);
+        if (*t == DataType::kDouble) a = ToF64(a);
         slots.push_back(a.slot);
       }
-      for (uint16_t s : slots) ReleaseSlot(s);
-      const auto list = static_cast<uint32_t>(program_.arg_lists.size());
-      program_.arg_lists.push_back(std::move(slots));
-      return Emit(op, t, 0, 0, list);
+      return EmitList(ByType(*t, OpCode::kCoalesceI64, OpCode::kCoalesceF64,
+                             OpCode::kCoalesceBool, OpCode::kCoalesceStr),
+                      *t, std::move(slots));
     }
     if (f == "nullif") {
-      if (e.children.size() != 2) return std::nullopt;
-      auto lhs = CompileNode(*e.children[0]);
-      if (!lhs.has_value() || !IsNumeric(lhs->type)) return std::nullopt;
-      auto rhs = CompileNode(*e.children[1]);
-      if (!rhs.has_value() || !IsNumeric(rhs->type)) return std::nullopt;
-      OpCode op;
-      switch (lhs->type) {
-        case DataType::kInt64:  op = OpCode::kNullIfI64; break;
-        case DataType::kDouble: op = OpCode::kNullIfF64; break;
-        default:                op = OpCode::kNullIfBool; break;
+      if (e.children.size() != 2) {
+        return Status::InvalidArgument("nullif() takes two arguments");
       }
-      ReleaseSlot(lhs->slot);
-      ReleaseSlot(rhs->slot);
-      const auto list = static_cast<uint32_t>(program_.arg_lists.size());
+      LAWS_ASSIGN_OR_RETURN(NodeRes lhs, CompileNode(*e.children[0]));
+      LAWS_ASSIGN_OR_RETURN(NodeRes rhs, CompileNode(*e.children[1]));
+      if ((lhs.type == DataType::kString) != (rhs.type == DataType::kString)) {
+        return Status::TypeMismatch("nullif() type mismatch");
+      }
+      ReleaseSlot(lhs.slot);
+      ReleaseSlot(rhs.slot);
       // The third entry tags b's physical type so the evaluator can read
       // it numerically without a cast instruction.
+      const auto list = static_cast<uint32_t>(program_.arg_lists.size());
       program_.arg_lists.push_back(
-          {lhs->slot, rhs->slot, static_cast<uint16_t>(rhs->type)});
-      return Emit(op, lhs->type, 0, 0, list);
+          {lhs.slot, rhs.slot, static_cast<uint16_t>(rhs.type)});
+      return Emit(ByType(lhs.type, OpCode::kNullIfI64, OpCode::kNullIfF64,
+                         OpCode::kNullIfBool, OpCode::kNullIfStr),
+                  lhs.type, 0, 0, list);
     }
-    return std::nullopt;  // unknown function: tree-walker diagnoses
+    if (f == "pow" || f == "power") {
+      if (e.children.size() != 2) {
+        return Status::InvalidArgument("pow() takes two arguments");
+      }
+      LAWS_ASSIGN_OR_RETURN(NodeRes lhs, CompileNode(*e.children[0]));
+      LAWS_ASSIGN_OR_RETURN(NodeRes rhs, CompileNode(*e.children[1]));
+      if (!IsNumeric(lhs.type) || !IsNumeric(rhs.type)) {
+        return Status::TypeMismatch("pow() requires numeric arguments");
+      }
+      NodeRes a = ToF64(lhs);
+      NodeRes b = ToF64(rhs);
+      return EmitBinary(OpCode::kPowF64, DataType::kDouble, a, b);
+    }
+    return Status::InvalidArgument("unknown function: " + f);
   }
 
-  std::optional<NodeRes> CompileCase(const Expr& e) {
+  Result<NodeRes> CompileCase(const Expr& e) {
     const bool has_else = e.case_has_else;
     const size_t pairs = (e.children.size() - (has_else ? 1 : 0)) / 2;
     std::vector<NodeRes> whens, thens;
     for (size_t i = 0; i < pairs; ++i) {
-      auto w = CompileNode(*e.children[2 * i]);
-      if (!w.has_value() || w->type != DataType::kBool) return std::nullopt;
-      auto t = CompileNode(*e.children[2 * i + 1]);
-      if (!t.has_value() || !IsNumeric(t->type)) return std::nullopt;
-      whens.push_back(*w);
-      thens.push_back(*t);
+      LAWS_ASSIGN_OR_RETURN(NodeRes w, CompileNode(*e.children[2 * i]));
+      if (w.type != DataType::kBool) {
+        return Status::TypeMismatch("CASE WHEN condition is not boolean");
+      }
+      LAWS_ASSIGN_OR_RETURN(NodeRes t, CompileNode(*e.children[2 * i + 1]));
+      whens.push_back(w);
+      thens.push_back(t);
     }
     if (has_else) {
-      auto t = CompileNode(*e.children.back());
-      if (!t.has_value() || !IsNumeric(t->type)) return std::nullopt;
-      thens.push_back(*t);
+      LAWS_ASSIGN_OR_RETURN(NodeRes t, CompileNode(*e.children.back()));
+      thens.push_back(t);
     }
-    bool all_int = true, all_bool = true;
-    for (const NodeRes& t : thens) {
-      all_int &= t.type == DataType::kInt64;
-      all_bool &= t.type == DataType::kBool;
+    const std::optional<DataType> t = UnifyBranches(thens);
+    if (!t.has_value()) {
+      return Status::TypeMismatch("CASE mixes strings and numerics");
     }
-    const DataType t = all_int    ? DataType::kInt64
-                       : all_bool ? DataType::kBool
-                                  : DataType::kDouble;
-    const OpCode op = all_int    ? OpCode::kCaseI64
-                      : all_bool ? OpCode::kCaseBool
-                                 : OpCode::kCaseF64;
-    if (t == DataType::kDouble) {
+    if (*t == DataType::kDouble) {
       for (NodeRes& b : thens) b = ToF64(b);
     }
     // Layout: [w1, t1, w2, t2, ..., else?]. Odd length = ELSE present.
@@ -505,13 +531,13 @@ class Compiler {
       slots.push_back(thens[i].slot);
     }
     if (has_else) slots.push_back(thens.back().slot);
-    for (uint16_t s : slots) ReleaseSlot(s);
-    const auto list = static_cast<uint32_t>(program_.arg_lists.size());
-    program_.arg_lists.push_back(std::move(slots));
-    return Emit(op, t, 0, 0, list);
+    return EmitList(ByType(*t, OpCode::kCaseI64, OpCode::kCaseF64,
+                           OpCode::kCaseBool, OpCode::kCaseStr),
+                    *t, std::move(slots));
   }
 
   const Schema& schema_;
+  const bool fold_;
   CompiledExpr program_;
   uint16_t next_slot_ = 0;
   std::vector<uint16_t> free_slots_;
@@ -527,9 +553,11 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kLoadColI64:  return "loadcol.i64";
     case OpCode::kLoadColF64:  return "loadcol.f64";
     case OpCode::kLoadColBool: return "loadcol.bool";
+    case OpCode::kLoadColStr:  return "loadcol.str";
     case OpCode::kConstI64:    return "const.i64";
     case OpCode::kConstF64:    return "const.f64";
     case OpCode::kConstBool:   return "const.bool";
+    case OpCode::kConstStr:    return "const.str";
     case OpCode::kConstNull:   return "const.null";
     case OpCode::kCastI64F64:  return "cast.i64.f64";
     case OpCode::kCastBoolF64: return "cast.bool.f64";
@@ -563,17 +591,26 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kCmpLeF64:    return "cmple.f64";
     case OpCode::kCmpGtF64:    return "cmpgt.f64";
     case OpCode::kCmpGeF64:    return "cmpge.f64";
+    case OpCode::kCmpEqStr:    return "cmpeq.str";
+    case OpCode::kCmpNeStr:    return "cmpne.str";
+    case OpCode::kCmpLtStr:    return "cmplt.str";
+    case OpCode::kCmpLeStr:    return "cmple.str";
+    case OpCode::kCmpGtStr:    return "cmpgt.str";
+    case OpCode::kCmpGeStr:    return "cmpge.str";
     case OpCode::kAnd3VL:      return "and.3vl";
     case OpCode::kOr3VL:       return "or.3vl";
     case OpCode::kCoalesceI64: return "coalesce.i64";
     case OpCode::kCoalesceF64: return "coalesce.f64";
     case OpCode::kCoalesceBool:return "coalesce.bool";
+    case OpCode::kCoalesceStr: return "coalesce.str";
     case OpCode::kNullIfI64:   return "nullif.i64";
     case OpCode::kNullIfF64:   return "nullif.f64";
     case OpCode::kNullIfBool:  return "nullif.bool";
+    case OpCode::kNullIfStr:   return "nullif.str";
     case OpCode::kCaseI64:     return "case.i64";
     case OpCode::kCaseF64:     return "case.f64";
     case OpCode::kCaseBool:    return "case.bool";
+    case OpCode::kCaseStr:     return "case.str";
   }
   return "?";
 }
@@ -588,11 +625,13 @@ std::string CompiledExpr::ToString() const {
       case OpCode::kLoadColI64:
       case OpCode::kLoadColF64:
       case OpCode::kLoadColBool:
+      case OpCode::kLoadColStr:
         out += "(" + columns[ins.aux].name + ")";
         break;
       case OpCode::kConstI64:
       case OpCode::kConstF64:
       case OpCode::kConstBool:
+      case OpCode::kConstStr:
         out += "(" + constants[ins.aux].ToString() + ")";
         break;
       case OpCode::kConstNull:
@@ -601,9 +640,11 @@ std::string CompiledExpr::ToString() const {
       case OpCode::kCoalesceI64:
       case OpCode::kCoalesceF64:
       case OpCode::kCoalesceBool:
+      case OpCode::kCoalesceStr:
       case OpCode::kCaseI64:
       case OpCode::kCaseF64:
-      case OpCode::kCaseBool: {
+      case OpCode::kCaseBool:
+      case OpCode::kCaseStr: {
         out += "(";
         const auto& list = arg_lists[ins.aux];
         for (size_t i = 0; i < list.size(); ++i) {
@@ -615,7 +656,8 @@ std::string CompiledExpr::ToString() const {
       }
       case OpCode::kNullIfI64:
       case OpCode::kNullIfF64:
-      case OpCode::kNullIfBool: {
+      case OpCode::kNullIfBool:
+      case OpCode::kNullIfStr: {
         const auto& list = arg_lists[ins.aux];
         out += "(s" + std::to_string(list[0]) + ",s" +
                std::to_string(list[1]) + ")";
@@ -648,10 +690,22 @@ std::string CompiledExpr::ToString() const {
   return out;
 }
 
-std::optional<CompiledExpr> CompileExpr(const Expr& expr,
-                                        const Schema& schema) {
-  Compiler compiler(schema);
+Result<CompiledExpr> CompileExpr(const Expr& expr, const Schema& schema) {
+  Compiler compiler(schema, /*fold=*/true);
   return compiler.Compile(expr);
+}
+
+Result<Value> EvaluateConstant(const Expr& expr) {
+  // The model path matches `column op literal` on every read; a bare
+  // literal must not pay for a compile.
+  if (expr.kind == ExprKind::kLiteral) return expr.literal;
+  const Schema no_columns{};
+  Compiler compiler(no_columns, /*fold=*/false);
+  LAWS_ASSIGN_OR_RETURN(CompiledExpr program, compiler.Compile(expr));
+  // One single-lane evaluator per thread: folding runs inside every
+  // compile, so it must not allocate registers each time.
+  thread_local BatchEvaluator vm(1);
+  return vm.RunScalar(program);
 }
 
 }  // namespace laws

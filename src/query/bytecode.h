@@ -2,47 +2,46 @@
 #define LAWSDB_QUERY_BYTECODE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "query/ast.h"
 #include "storage/schema.h"
 
 namespace laws {
 
-/// Compile-once expression tier: an `Expr` tree is lowered to a flat
-/// postfix program of typed opcodes executed by a stack machine over
-/// column batches (vector_eval.h). The compiler performs constant folding
-/// (through the tree-walker's own EvaluateConstant, so folded values carry
-/// identical semantics), common-subexpression elimination by expression
-/// identity, and int64/double/bool type specialization. Register slots are
-/// assigned statically — the stack depth at every instruction is known at
-/// compile time — so the runtime never manages a dynamic stack and CSE
-/// reuses a pinned slot instead of recomputing or copying.
+/// The expression evaluator: an `Expr` tree is lowered to a flat
+/// postfix program of typed opcodes executed by a register VM over column
+/// batches (vector_eval.h). The compiler type-checks the tree, folds
+/// constants (by running the VM itself on one row), eliminates common
+/// subexpressions by expression identity, and specializes on
+/// int64/double/bool/string. Register slots are assigned statically — the
+/// stack depth at every instruction is known at compile time — so the
+/// runtime never manages a dynamic stack and CSE reuses a pinned slot
+/// instead of recomputing or copying.
 ///
-/// Anything outside the compilable subset (string-typed values anywhere in
-/// the tree, aggregates, unknown functions, arity or type errors) makes
-/// CompileExpr return nullopt and the caller falls back to the row-proven
-/// tree-walker, which raises exactly the diagnostics it always raised.
-/// Compiled programs therefore fail only on data-dependent numeric errors
-/// (division by zero, checked-int64 overflow), with the tree-walker's
-/// exact messages. DESIGN.md §13 documents the ISA and the invariants
-/// against the §11 NaN/NULL semantics.
+/// Types are data-independent, so every type, arity, unknown-column and
+/// unknown-function error is raised by CompileExpr, before any row is
+/// read. Compiled programs fail only on data-dependent numeric errors
+/// (division/modulo by zero, checked-int64 overflow). DESIGN.md §13
+/// documents the ISA and the invariants against the §11 NaN/NULL
+/// semantics.
 
-/// Typed opcodes. Naming: suffix is the *output* type family; comparison
-/// inputs are always doubles (the tree-walker compares every numeric pair
-/// through double coercion — the §11 2^53 horizon — so the compiled tier
-/// must too).
+/// Typed opcodes. Naming: suffix is the *output* type family; numeric
+/// comparison inputs are always doubles (every numeric pair compares
+/// through double coercion — the §11 2^53 horizon).
 enum class OpCode : uint8_t {
   // Loads. aux = column index (schema position) or constant-pool index.
   kLoadColI64,
   kLoadColF64,
   kLoadColBool,
+  kLoadColStr,  // string_view lanes into the column's dictionary
   kConstI64,
   kConstF64,
   kConstBool,
-  kConstNull,  // typed as F64, every lane NULL (the tree-walker's NULL type)
+  kConstStr,   // string_view lanes into the constant pool
+  kConstNull,  // typed as F64, every lane NULL (a NULL literal is numeric)
 
   // Numeric coercions (int64/bool -> double, NULLs pass through).
   kCastI64F64,
@@ -78,15 +77,22 @@ enum class OpCode : uint8_t {
   kModF64,
   kPowF64,
 
-  // Comparisons: double inputs, bool output, NULL-propagating. Lane
-  // semantics replicate the tree-walker's three-way compare (NaN sorts as
-  // "greater": NaN > x is true, NaN == x and NaN < x are false).
+  // Comparisons: bool output, NULL-propagating. Lane semantics are the
+  // three-way compare c = a < b ? -1 : (a == b ? 0 : 1) (so NaN sorts as
+  // "greater": NaN > x is true, NaN == x and NaN < x are false). The Str
+  // family compares string lanes bytewise.
   kCmpEqF64,
   kCmpNeF64,
   kCmpLtF64,
   kCmpLeF64,
   kCmpGtF64,
   kCmpGeF64,
+  kCmpEqStr,
+  kCmpNeStr,
+  kCmpLtStr,
+  kCmpLeStr,
+  kCmpGtStr,
+  kCmpGeStr,
 
   // Three-valued logic over bool inputs.
   kAnd3VL,
@@ -98,17 +104,21 @@ enum class OpCode : uint8_t {
   kCoalesceI64,
   kCoalesceF64,
   kCoalesceBool,
+  kCoalesceStr,
   // NULLIF(a, b): output = a's type; lanes where both are non-NULL and
-  // numerically equal (double compare) become NULL. arg_list = {a, b,
-  // b_type_tag} where the tag says how to read b's slot numerically.
+  // equal become NULL. Numeric pairs compare as doubles, string pairs
+  // bytewise. arg_list = {a, b, b_type_tag} where the tag says how to
+  // read b's slot numerically.
   kNullIfI64,
   kNullIfF64,
   kNullIfBool,
+  kNullIfStr,
   // Searched CASE: arg_list = {w1, t1, w2, t2, ..., [else]}; aux's low bit
   // of the *list length* disambiguates the ELSE (odd length = has ELSE).
   kCaseI64,
   kCaseF64,
   kCaseBool,
+  kCaseStr,
 };
 
 std::string_view OpCodeName(OpCode op);
@@ -151,11 +161,17 @@ struct CompiledExpr {
   std::string ToString() const;
 };
 
-/// Lowers `expr` against `schema`. Returns nullopt when the expression is
-/// outside the compilable subset (see file comment); never raises — every
-/// error case is the tree-walker's to diagnose.
-std::optional<CompiledExpr> CompileExpr(const Expr& expr,
-                                        const Schema& schema);
+/// Lowers `expr` against `schema`, raising every static diagnostic:
+/// NotFound for an unknown column, InvalidArgument for arity errors,
+/// unknown functions and aggregates in scalar context, TypeMismatch for
+/// ill-typed operands. Errors follow the tree's left-to-right evaluation
+/// order, so the first offending node names the error.
+Result<CompiledExpr> CompileExpr(const Expr& expr, const Schema& schema);
+
+/// Evaluates an expression with no column references to a single Value.
+/// A bare literal returns at once; anything else compiles (without
+/// folding) and runs on one row. Bumps no expr.* counter.
+Result<Value> EvaluateConstant(const Expr& expr);
 
 }  // namespace laws
 

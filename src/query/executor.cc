@@ -15,7 +15,6 @@
 #include "compress/block_store.h"
 #include "query/agg_state.h"
 #include "query/compressed_scan.h"
-#include "query/expr_eval.h"
 #include "query/vector_eval.h"
 #include "query/parser.h"
 
@@ -153,7 +152,7 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
   key_cols.reserve(stmt.group_by.size());
   for (const auto& g : stmt.group_by) {
     LAWS_GOVERNOR_POLL();
-    LAWS_ASSIGN_OR_RETURN(Column c, EvaluateExprAuto(*g, input));
+    LAWS_ASSIGN_OR_RETURN(Column c, EvaluateExpr(*g, input));
     LAWS_RETURN_IF_ERROR(charge.Acquire(c.MemoryBytes(), "group keys"));
     key_cols.push_back(std::move(c));
   }
@@ -189,7 +188,7 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
       }
       LAWS_GOVERNOR_POLL();
       LAWS_ASSIGN_OR_RETURN(Column c,
-                            EvaluateExprAuto(*s.node->children[0], input));
+                            EvaluateExpr(*s.node->children[0], input));
       // SUM/AVG/VARIANCE/STDDEV over a string argument is a planning-time
       // type error, not a data-dependent one (the old behavior errored only
       // when some group actually held a non-null string).
@@ -348,7 +347,7 @@ Result<Table> SortRows(Table table, const SelectStatement& stmt,
   std::vector<Column> key_cols;
   for (const auto& k : keys) {
     LAWS_GOVERNOR_POLL();
-    LAWS_ASSIGN_OR_RETURN(Column c, EvaluateExprAuto(*k, table));
+    LAWS_ASSIGN_OR_RETURN(Column c, EvaluateExpr(*k, table));
     LAWS_RETURN_IF_ERROR(charge.Acquire(c.MemoryBytes(), "sort keys"));
     key_cols.push_back(std::move(c));
   }
@@ -617,8 +616,7 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
       std::string disasm;
       LAWS_ASSIGN_OR_RETURN(
           selection,
-          FilterRowsAuto(*stmt.where, source,
-                         span.active() ? &disasm : nullptr));
+          FilterRows(*stmt.where, source, span.active() ? &disasm : nullptr));
       if (span.active()) {
         span.SetDetail(disasm.empty() ? stmt.where->ToString()
                                       : stmt.where->ToString() +
@@ -733,8 +731,7 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
     std::string disasm;
     LAWS_ASSIGN_OR_RETURN(
         std::vector<uint32_t> selection,
-        FilterRowsAuto(*having, *current,
-                       span.active() ? &disasm : nullptr));
+        FilterRows(*having, *current, span.active() ? &disasm : nullptr));
     if (span.active()) {
       span.SetDetail(disasm.empty()
                          ? having->ToString()
@@ -781,8 +778,8 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
       LAWS_GOVERNOR_POLL();
       std::string disasm;
       LAWS_ASSIGN_OR_RETURN(
-          Column c, EvaluateExprAuto(*item.expr, *current,
-                                     span.active() ? &disasm : nullptr));
+          Column c, EvaluateExpr(*item.expr, *current,
+                                 span.active() ? &disasm : nullptr));
       if (span.active()) {
         if (!detail.empty()) detail += ", ";
         detail += item.alias;
@@ -940,28 +937,46 @@ Result<std::string> ExplainQuery(const Catalog& catalog,
   return ExplainSelect(catalog, stmt);
 }
 
+namespace {
+
+Counter* ExplainCounter(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name);
+}
+
+}  // namespace
+
+ExplainCounterDiff::ExplainCounterDiff()
+    : compiled_(ExplainCounter("expr.compiled")->value()),
+      batches_(ExplainCounter("expr.batches")->value()),
+      blocks_(ExplainCounter("scan.blocks_total")->value()),
+      pruned_(ExplainCounter("scan.blocks_pruned")->value()),
+      run_skips_(ExplainCounter("scan.runs_skipped")->value()),
+      enc_agg_(ExplainCounter("scan.encoded_agg")->value()) {}
+
+std::string ExplainCounterDiff::Render() const {
+  auto delta = [](const char* name, uint64_t before) {
+    return static_cast<unsigned long long>(ExplainCounter(name)->value() -
+                                           before);
+  };
+  char buf[192];
+  std::snprintf(
+      buf, sizeof(buf),
+      "expr: compiled=%llu batches=%llu\n"
+      "scan: engine=%s blocks=%llu pruned=%llu runs_skipped=%llu "
+      "encoded_agg=%llu\n",
+      delta("expr.compiled", compiled_), delta("expr.batches", batches_),
+      GlobalScanEngine() == ScanEngine::kCompressed ? "compressed" : "decode",
+      delta("scan.blocks_total", blocks_), delta("scan.blocks_pruned", pruned_),
+      delta("scan.runs_skipped", run_skips_),
+      delta("scan.encoded_agg", enc_agg_));
+  return buf;
+}
+
 Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
                                         const std::string& sql) {
   TraceSink sink;
   Timer total;
-  // Expression-tier accounting for this query: the counters are process-
-  // global, so snapshot before and report the delta.
-  Counter* compiled = MetricsRegistry::Global().GetCounter("expr.compiled");
-  Counter* fallback =
-      MetricsRegistry::Global().GetCounter("expr.fallback_treewalk");
-  Counter* batches = MetricsRegistry::Global().GetCounter("expr.batches");
-  Counter* blocks = MetricsRegistry::Global().GetCounter("scan.blocks_total");
-  Counter* pruned = MetricsRegistry::Global().GetCounter("scan.blocks_pruned");
-  Counter* run_skips =
-      MetricsRegistry::Global().GetCounter("scan.runs_skipped");
-  Counter* enc_agg = MetricsRegistry::Global().GetCounter("scan.encoded_agg");
-  const uint64_t compiled0 = compiled->value();
-  const uint64_t fallback0 = fallback->value();
-  const uint64_t batches0 = batches->value();
-  const uint64_t blocks0 = blocks->value();
-  const uint64_t pruned0 = pruned->value();
-  const uint64_t run_skips0 = run_skips->value();
-  const uint64_t enc_agg0 = enc_agg->value();
+  const ExplainCounterDiff counters;
   size_t result_rows = 0;
   // A governed query may be stopped mid-plan; that is a legitimate
   // outcome worth explaining, so the partial trace is still rendered
@@ -983,27 +998,7 @@ Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
       return result.status();
     }
   }
-  std::string out = sink.Render();
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "expr: engine=%s compiled=%llu fallback_treewalk=%llu "
-                "batches=%llu\n",
-                GlobalExprEngine() == ExprEngine::kBytecode ? "bytecode"
-                                                            : "treewalk",
-                static_cast<unsigned long long>(compiled->value() - compiled0),
-                static_cast<unsigned long long>(fallback->value() - fallback0),
-                static_cast<unsigned long long>(batches->value() - batches0));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "scan: engine=%s blocks=%llu pruned=%llu runs_skipped=%llu "
-      "encoded_agg=%llu\n",
-      GlobalScanEngine() == ScanEngine::kCompressed ? "compressed" : "decode",
-      static_cast<unsigned long long>(blocks->value() - blocks0),
-      static_cast<unsigned long long>(pruned->value() - pruned0),
-      static_cast<unsigned long long>(run_skips->value() - run_skips0),
-      static_cast<unsigned long long>(enc_agg->value() - enc_agg0));
-  out += buf;
+  std::string out = sink.Render() + counters.Render();
   if (QueryGovernor* gov = QueryGovernor::Current()) {
     out += gov->DescribeLine();
   }
@@ -1011,6 +1006,7 @@ Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
     out += "query stopped: " + stopped.ToString() + "\n";
     return out;
   }
+  char buf[64];
   std::snprintf(buf, sizeof(buf), "%zu row%s in %.3f ms\n", result_rows,
                 result_rows == 1 ? "" : "s", total.ElapsedMillis());
   out += buf;

@@ -1,6 +1,7 @@
 #ifndef LAWSDB_QUERY_EXECUTOR_H_
 #define LAWSDB_QUERY_EXECUTOR_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -55,6 +56,27 @@ Result<std::string> ExplainQuery(const Catalog& catalog,
 /// decision to the tree.
 Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
                                         const std::string& sql);
+
+/// The query-level `expr:` and `scan:` lines of EXPLAIN ANALYZE, shared
+/// by the exact and hybrid renderers. The expr.* and scan.* counters are
+/// process-global, so construction snapshots them and Render() prints the
+/// deltas since:
+///   expr: compiled=N batches=N
+///   scan: engine=compressed|decode blocks=N pruned=N runs_skipped=N
+///         encoded_agg=N
+class ExplainCounterDiff {
+ public:
+  ExplainCounterDiff();
+  std::string Render() const;
+
+ private:
+  uint64_t compiled_;
+  uint64_t batches_;
+  uint64_t blocks_;
+  uint64_t pruned_;
+  uint64_t run_skips_;
+  uint64_t enc_agg_;
+};
 
 }  // namespace laws
 

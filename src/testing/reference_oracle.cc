@@ -251,9 +251,12 @@ Result<DataType> InferType(const Expr& e, const Rel& rel) {
           return Status::InvalidArgument("oracle: nullif takes two args");
         }
         LAWS_ASSIGN_OR_RETURN(DataType t, InferType(*e.children[0], rel));
-        // The second argument's static errors still surface even though
-        // the result type ignores it.
-        LAWS_RETURN_IF_ERROR(InferType(*e.children[1], rel).status());
+        LAWS_ASSIGN_OR_RETURN(DataType bt, InferType(*e.children[1], rel));
+        // Types are static, so a family mismatch is an error even when no
+        // row (or only NULLs) would ever compare.
+        if ((t == DataType::kString) != (bt == DataType::kString)) {
+          return Status::TypeMismatch("oracle: nullif type mismatch");
+        }
         return t;
       }
       if (f == "pow" || f == "power") {
@@ -315,7 +318,7 @@ Result<DataType> InferType(const Expr& e, const Rel& rel) {
 
 /// Evaluates `e` for one row. Assumes the whole clause already passed
 /// InferType (static errors), so only data-dependent errors arise here:
-/// division/modulo by zero, integer overflow, NULLIF family mismatches.
+/// division/modulo by zero and integer overflow.
 /// Evaluation is eager like the engine's: every child is evaluated even
 /// when NULL propagation or an unmatched CASE branch discards the value,
 /// so the error sets of both engines coincide.
@@ -515,18 +518,11 @@ Result<Value> EvalRow(const Expr& e, const Rel& rel,
         LAWS_ASSIGN_OR_RETURN(Value a, EvalRow(*e.children[0], rel, row));
         LAWS_ASSIGN_OR_RETURN(Value b, EvalRow(*e.children[1], rel, row));
         LAWS_ASSIGN_OR_RETURN(DataType at, InferType(*e.children[0], rel));
-        LAWS_ASSIGN_OR_RETURN(DataType bt, InferType(*e.children[1], rel));
+        // InferType already rejected mixed families.
         bool equal = false;
         if (!a.is_null() && !b.is_null()) {
-          // The family check is per-row in the engine: it only fires for
-          // rows where both sides are non-NULL.
-          if (at == DataType::kString && bt == DataType::kString) {
-            equal = a.str() == b.str();
-          } else if (IsNumericType(at) && IsNumericType(bt)) {
-            equal = NumVal(a) == NumVal(b);
-          } else {
-            return Status::TypeMismatch("oracle: nullif type mismatch");
-          }
+          equal = at == DataType::kString ? a.str() == b.str()
+                                          : NumVal(a) == NumVal(b);
         }
         if (a.is_null() || equal) return Value::Null();
         return a;

@@ -1,6 +1,7 @@
-// Unit tests for the compiled expression tier (DESIGN.md §13): golden
+// Unit tests for the expression compiler and VM (DESIGN.md §13): golden
 // programs out of the compiler, constant folding / CSE / type
-// specialization, §11 semantics parity against the tree-walker, and the
+// specialization, compile-time diagnostics, string lanes, §11 semantics
+// checked bit for bit against the reference oracle, and the
 // batch/scratch mechanics of the VM.
 
 #include <gtest/gtest.h>
@@ -12,11 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "query/bytecode.h"
-#include "query/expr_eval.h"
 #include "query/parser.h"
 #include "query/vector_eval.h"
+#include "storage/catalog.h"
 #include "storage/table.h"
+#include "testing/reference_oracle.h"
 
 namespace laws {
 namespace {
@@ -30,8 +33,8 @@ Schema TestSchema() {
                  Field{"sa", DataType::kString, true}});
 }
 
-// Parses the expression of `SELECT <expr> FROM t` (parser has no
-// standalone expression entry point).
+// Parses the expression of `SELECT <expr> FROM t` (the select list is the
+// only place aggregates parse, so every test expression goes through it).
 std::unique_ptr<Expr> ParseExpr(const std::string& text) {
   auto stmt = ParseSelect("SELECT " + text + " FROM t");
   EXPECT_TRUE(stmt.ok()) << text << ": " << stmt.status().ToString();
@@ -39,9 +42,9 @@ std::unique_ptr<Expr> ParseExpr(const std::string& text) {
   return std::move(stmt->select_list[0].expr);
 }
 
-std::optional<CompiledExpr> Compile(const std::string& text) {
+Result<CompiledExpr> Compile(const std::string& text) {
   auto expr = ParseExpr(text);
-  if (expr == nullptr) return std::nullopt;
+  if (expr == nullptr) return Status::InvalidArgument("unparsable");
   return CompileExpr(*expr, TestSchema());
 }
 
@@ -68,52 +71,86 @@ Table SmallTable() {
   return t;
 }
 
-// Both engines over the same expression and table must agree bit-for-bit
-// (NaNs one class) including NULL-ness, or raise errors with identical
-// messages.
-void ExpectParity(const std::string& text, const Table& table) {
-  auto expr = ParseExpr(text);
-  ASSERT_NE(expr, nullptr);
-  auto compiled = CompileExpr(*expr, table.schema());
-  ASSERT_TRUE(compiled.has_value()) << text << " did not compile";
-  Result<Column> tw = EvaluateExpr(*expr, table);
-  BatchEvaluator eval;
-  Result<Column> bc = eval.Run(*compiled, table);
-  ASSERT_EQ(tw.ok(), bc.ok())
-      << text << ": treewalk " << (tw.ok() ? "ok" : tw.status().ToString())
-      << " vs bytecode " << (bc.ok() ? "ok" : bc.status().ToString());
-  if (!tw.ok()) {
-    EXPECT_EQ(tw.status().ToString(), bc.status().ToString()) << text;
+// String-heavy fixture: NULLs, empty strings, shared and distinct values.
+Table StringTable() {
+  Table t{Schema({Field{"sa", DataType::kString, true},
+                  Field{"sb", DataType::kString, true},
+                  Field{"ia", DataType::kInt64, true}})};
+  auto row = [&](Value sa, Value sb, int64_t ia) {
+    EXPECT_TRUE(
+        t.AppendRow({std::move(sa), std::move(sb), Value::Int64(ia)}).ok());
+  };
+  row(Value::String("apple"), Value::String("apple"), 1);
+  row(Value::String(""), Value::String("b"), 2);
+  row(Value::Null(), Value::String("x"), 3);
+  row(Value::String("zeta"), Value::Null(), 4);
+  row(Value::String(""), Value::String(""), 5);
+  row(Value::String("b"), Value::String("apple"), 6);
+  row(Value::Null(), Value::Null(), 7);
+  return t;
+}
+
+bool SameCell(const Column& c, size_t i, const Value& want) {
+  if (c.IsNull(i) || want.is_null()) return c.IsNull(i) && want.is_null();
+  switch (c.type()) {
+    case DataType::kDouble: {
+      const double a = c.DoubleAt(i), b = *want.AsDouble();
+      if (std::isnan(a) || std::isnan(b)) {
+        return std::isnan(a) && std::isnan(b);
+      }
+      uint64_t ba, bb;
+      std::memcpy(&ba, &a, 8);
+      std::memcpy(&bb, &b, 8);
+      return ba == bb;
+    }
+    case DataType::kInt64:
+      return want.is_int64() && c.Int64At(i) == want.int64();
+    case DataType::kBool:
+      return want.is_bool() && c.BoolAt(i) == want.boolean();
+    case DataType::kString:
+      return want.is_string() && c.StringAt(i) == want.str();
+  }
+  return false;
+}
+
+// The VM over `table` (at `batch_size`) must agree with the reference
+// oracle's `SELECT <text> FROM t` bit-for-bit — type, NULL-ness, value
+// bits (NaNs one class) — or both must raise an error with the same code.
+void ExpectParity(const std::string& text, const Table& table,
+                  size_t batch_size = kExprBatchSize) {
+  auto stmt = ParseSelect("SELECT " + text + " FROM t");
+  ASSERT_TRUE(stmt.ok()) << text << ": " << stmt.status().ToString();
+  Catalog catalog;
+  ASSERT_TRUE(
+      catalog.Register("t", std::make_shared<Table>(table)).ok());
+  const testing::OracleResult oracle =
+      testing::OracleExecuteSelect(catalog, *stmt);
+
+  Result<Column> vm = [&]() -> Result<Column> {
+    LAWS_ASSIGN_OR_RETURN(
+        CompiledExpr program,
+        CompileExpr(*stmt->select_list[0].expr, table.schema()));
+    BatchEvaluator eval(batch_size);
+    return eval.Run(program, table);
+  }();
+  ASSERT_EQ(oracle.status.ok(), vm.ok())
+      << text << " @" << batch_size << ": oracle "
+      << (oracle.status.ok() ? "ok" : oracle.status.ToString()) << " vs VM "
+      << (vm.ok() ? "ok" : vm.status().ToString());
+  if (!vm.ok()) {
+    EXPECT_EQ(oracle.status.code(), vm.status().code())
+        << text << ": " << oracle.status.ToString() << " vs "
+        << vm.status().ToString();
     return;
   }
-  ASSERT_EQ(tw->size(), bc->size()) << text;
-  ASSERT_EQ(tw->type(), bc->type()) << text;
-  for (size_t i = 0; i < tw->size(); ++i) {
-    ASSERT_EQ(tw->IsNull(i), bc->IsNull(i)) << text << " row " << i;
-    if (tw->IsNull(i)) continue;
-    switch (tw->type()) {
-      case DataType::kDouble: {
-        const double a = tw->DoubleAt(i), b = bc->DoubleAt(i);
-        if (std::isnan(a) || std::isnan(b)) {
-          EXPECT_TRUE(std::isnan(a) && std::isnan(b)) << text << " row " << i;
-        } else {
-          uint64_t ba, bb;
-          std::memcpy(&ba, &a, 8);
-          std::memcpy(&bb, &b, 8);
-          EXPECT_EQ(ba, bb) << text << " row " << i << ": " << a << " vs "
-                            << b;
-        }
-        break;
-      }
-      case DataType::kInt64:
-        EXPECT_EQ(tw->Int64At(i), bc->Int64At(i)) << text << " row " << i;
-        break;
-      case DataType::kBool:
-        EXPECT_EQ(tw->BoolAt(i), bc->BoolAt(i)) << text << " row " << i;
-        break;
-      default:
-        FAIL() << "unexpected result type for " << text;
-    }
+  ASSERT_EQ(oracle.table.num_columns(), 1u) << text;
+  ASSERT_EQ(oracle.table.schema().field(0).type, vm->type()) << text;
+  ASSERT_EQ(oracle.table.num_rows(), vm->size()) << text;
+  for (size_t i = 0; i < vm->size(); ++i) {
+    const Value want = oracle.table.GetValue(i, 0);
+    EXPECT_TRUE(SameCell(*vm, i, want))
+        << text << " @" << batch_size << " row " << i << ": oracle "
+        << want.ToString() << " vs VM " << vm->GetValue(i).ToString();
   }
 }
 
@@ -121,7 +158,7 @@ void ExpectParity(const std::string& text, const Table& table) {
 
 TEST(BytecodeCompilerTest, GoldenIntAdd) {
   auto p = Compile("ia + 1");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ToString(),
             "s0=loadcol.i64(ia); s1=const.i64(1); s1=add.i64(s0,s1)");
   EXPECT_EQ(p->result_type, DataType::kInt64);
@@ -130,7 +167,7 @@ TEST(BytecodeCompilerTest, GoldenIntAdd) {
 
 TEST(BytecodeCompilerTest, GoldenMixedPromotesToDouble) {
   auto p = Compile("ia * da");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ToString(),
             "s0=loadcol.i64(ia); s1=loadcol.f64(da); s0=cast.i64.f64(s0); "
             "s1=mul.f64(s0,s1)");
@@ -141,10 +178,19 @@ TEST(BytecodeCompilerTest, GoldenComparisonIsDoubleTyped) {
   // §11: every numeric comparison goes through double coercion, even
   // int64-vs-int64 (the 2^53 horizon is intentional, shared semantics).
   auto p = Compile("ia < ib");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ToString(),
             "s0=loadcol.i64(ia); s1=loadcol.i64(ib); s0=cast.i64.f64(s0); "
             "s1=cast.i64.f64(s1); s1=cmplt.f64(s0,s1)");
+  EXPECT_EQ(p->result_type, DataType::kBool);
+}
+
+TEST(BytecodeCompilerTest, GoldenStringLanes) {
+  auto p = Compile("coalesce(sa, 'none') = 'x'");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_EQ(p->ToString(),
+            "s0=loadcol.str(sa); s1=const.str(none); "
+            "s1=coalesce.str(s0,s1); s0=const.str(x); s0=cmpeq.str(s1,s0)");
   EXPECT_EQ(p->result_type, DataType::kBool);
 }
 
@@ -152,7 +198,7 @@ TEST(BytecodeCompilerTest, GoldenComparisonIsDoubleTyped) {
 
 TEST(BytecodeCompilerTest, ConstantSubtreeFoldsToOneLoad) {
   auto p = Compile("da + (1 + 2 * 3)");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   // The column-free subtree becomes a single constant instruction.
   size_t consts = 0;
   for (const auto& ins : p->code) {
@@ -164,20 +210,42 @@ TEST(BytecodeCompilerTest, ConstantSubtreeFoldsToOneLoad) {
   EXPECT_EQ(p->constants[0].int64(), 7);
 }
 
+TEST(BytecodeCompilerTest, StringConstantSubtreeFolds) {
+  auto p = Compile("CASE WHEN 1 < 2 THEN 'lo' ELSE 'hi' END");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_EQ(p->ToString(), "s0=const.str(lo)");
+  EXPECT_EQ(p->result_type, DataType::kString);
+}
+
 TEST(BytecodeCompilerTest, FoldTimeErrorVetoesTheFold) {
-  // 1/0 errors at evaluation time in the tree-walker. Folding it at
-  // compile time would move the error; the compiler must leave the
-  // division in the program instead.
+  // Folding 1/0 at compile time would raise on tables no row of which
+  // ever evaluates it; the compiler must leave the division in the
+  // program instead.
   auto p = Compile("da + 1 / 0");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   bool has_div = false;
   for (const auto& ins : p->code) has_div |= ins.op == OpCode::kDivF64;
   EXPECT_TRUE(has_div) << p->ToString();
 }
 
+TEST(BytecodeCompilerTest, DivisionByZeroErrorsOnlyWhenRowsFlow) {
+  auto expr = ParseExpr("1 / 0");
+  ASSERT_NE(expr, nullptr);
+  Table empty{TestSchema()};
+  Result<Column> none = EvaluateExpr(*expr, empty);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->size(), 0u);
+  Table one{Schema({Field{"x", DataType::kInt64, true}})};
+  ASSERT_TRUE(one.AppendRow({Value::Int64(1)}).ok());
+  Result<Column> r = EvaluateExpr(*expr, one);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNumericError);
+  EXPECT_EQ(r.status().message(), "division by zero");
+}
+
 TEST(BytecodeCompilerTest, SharedSubexpressionCompilesOnce) {
   auto p = Compile("(da * db) + (da * db)");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   size_t muls = 0;
   for (const auto& ins : p->code) muls += ins.op == OpCode::kMulF64;
   EXPECT_EQ(muls, 1u) << p->ToString();
@@ -202,27 +270,194 @@ TEST(BytecodeCompilerTest, NearEqualLiteralsDoNotShareARegister) {
       t);
 }
 
+TEST(BytecodeCompilerTest, StringLiteralsCannotForgeACseKey) {
+  // Two different argument lists whose literal texts concatenate alike
+  // must not share a register.
+  const Table t = StringTable();
+  ExpectParity("coalesce(sa, 'a,Lsb') = coalesce(sa, 'a', 'b')", t);
+}
+
 TEST(BytecodeCompilerTest, LiteralTypeCollisionKeepsCaseInt64) {
   // int64 0 and double 0.0 both print "0"; under a text-keyed CSE the
   // ELSE 0 inherited the double constant's register and type, promoting
-  // the CASE to DOUBLE where the tree-walker stays INT64 (seed 21765).
+  // the CASE to DOUBLE where the typing rules say INT64 (seed 21765).
   const std::string text = "CASE WHEN da >= 0.0 THEN ia ELSE 0 END";
   auto p = Compile(text);
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->result_type, DataType::kInt64) << p->ToString();
   ExpectParity(text, SmallTable());
 }
 
-// --- Fallback boundary ----------------------------------------------------
+// --- Compile-time diagnostics ---------------------------------------------
 
-TEST(BytecodeCompilerTest, DeclinesNonCompilableShapes) {
-  EXPECT_FALSE(Compile("sa").has_value());              // string column
-  EXPECT_FALSE(Compile("'x'").has_value());             // string literal
-  EXPECT_FALSE(Compile("sa = 'x'").has_value());        // string compare
-  EXPECT_FALSE(Compile("SUM(ia)").has_value());         // aggregate
-  EXPECT_FALSE(Compile("frobnicate(da)").has_value());  // unknown function
-  EXPECT_FALSE(Compile("nosuchcol + 1").has_value());   // unknown column
-  EXPECT_FALSE(Compile("ia AND ba").has_value());       // type error
+struct Diagnostic {
+  const char* expr;
+  StatusCode code;
+  const char* message;
+};
+
+// Every static error the evaluator raises, with its exact text. Types are
+// data-independent, so each must fire identically on an empty table and
+// on one with rows — and before any row is read.
+const Diagnostic kDiagnostics[] = {
+    {"-sa", StatusCode::kTypeMismatch, "cannot negate a string"},
+    {"NOT ia", StatusCode::kTypeMismatch, "NOT requires a boolean operand"},
+    {"sa + 1", StatusCode::kTypeMismatch, "arithmetic on non-numeric operand"},
+    {"sa = 1", StatusCode::kTypeMismatch, "cannot compare string with numeric"},
+    // A NULL literal is numeric, so it cannot meet a string either.
+    {"sa = NULL", StatusCode::kTypeMismatch,
+     "cannot compare string with numeric"},
+    {"ba AND ia", StatusCode::kTypeMismatch, "AND/OR require boolean operands"},
+    {"sqrt(da, db)", StatusCode::kInvalidArgument, "sqrt() takes one argument"},
+    {"abs(ia, ib)", StatusCode::kInvalidArgument, "abs() takes one argument"},
+    {"ln(sa)", StatusCode::kTypeMismatch, "ln() requires a numeric argument"},
+    {"abs(sa)", StatusCode::kTypeMismatch, "abs() requires a numeric argument"},
+    {"pow(da)", StatusCode::kInvalidArgument, "pow() takes two arguments"},
+    {"power(sa, 2)", StatusCode::kTypeMismatch,
+     "pow() requires numeric arguments"},
+    {"coalesce()", StatusCode::kInvalidArgument, "coalesce() needs arguments"},
+    {"coalesce(sa, 1)", StatusCode::kTypeMismatch,
+     "coalesce() mixes strings and numerics"},
+    {"coalesce(NULL, sa)", StatusCode::kTypeMismatch,
+     "coalesce() mixes strings and numerics"},
+    {"nullif(da)", StatusCode::kInvalidArgument,
+     "nullif() takes two arguments"},
+    {"nullif(sa, 1)", StatusCode::kTypeMismatch, "nullif() type mismatch"},
+    {"nullif(ia, sa)", StatusCode::kTypeMismatch, "nullif() type mismatch"},
+    {"frob(nosuchcol)", StatusCode::kInvalidArgument, "unknown function: frob"},
+    {"CASE WHEN ia THEN 1 END", StatusCode::kTypeMismatch,
+     "CASE WHEN condition is not boolean"},
+    {"CASE WHEN ba THEN sa ELSE 1 END", StatusCode::kTypeMismatch,
+     "CASE mixes strings and numerics"},
+    {"nosuchcol + 1", StatusCode::kNotFound, "no field named 'nosuchcol'"},
+    {"SUM(ia)", StatusCode::kInvalidArgument,
+     "aggregate in scalar context (missing GROUP BY handling?)"},
+    // Left-to-right: the first offending node names the error, and a
+    // static error wins over a data error anywhere in the tree.
+    {"nosuchcol + -sa", StatusCode::kNotFound, "no field named 'nosuchcol'"},
+    {"(1 / (ia - ia)) + sa", StatusCode::kTypeMismatch,
+     "arithmetic on non-numeric operand"},
+};
+
+Table ThreeRowTable() {
+  Table t{TestSchema()};
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(t.AppendRow({Value::Int64(i), Value::Int64(2 * i),
+                             Value::Double(0.5 * static_cast<double>(i)),
+                             Value::Null(), Value::Bool(i % 2 == 0),
+                             Value::String(std::to_string(i))})
+                    .ok());
+  }
+  return t;
+}
+
+TEST(BytecodeDiagnosticsTest, EveryStaticErrorIsRaisedAtCompileTime) {
+  const Table empty{TestSchema()};
+  const Table three = ThreeRowTable();
+  for (const Diagnostic& d : kDiagnostics) {
+    auto expr = ParseExpr(d.expr);
+    ASSERT_NE(expr, nullptr) << d.expr;
+    Result<CompiledExpr> compiled = CompileExpr(*expr, TestSchema());
+    ASSERT_FALSE(compiled.ok()) << d.expr << " compiled";
+    EXPECT_EQ(compiled.status().code(), d.code) << d.expr;
+    EXPECT_EQ(compiled.status().message(), d.message) << d.expr;
+    for (const Table* t : {&empty, &three}) {
+      Result<Column> r = EvaluateExpr(*expr, *t);
+      ASSERT_FALSE(r.ok()) << d.expr << " on " << t->num_rows() << " rows";
+      EXPECT_EQ(r.status().code(), d.code) << d.expr;
+      EXPECT_EQ(r.status().message(), d.message)
+          << d.expr << " on " << t->num_rows() << " rows";
+    }
+  }
+}
+
+TEST(BytecodeDiagnosticsTest, NonBooleanPredicateIsRejectedBeforeRows) {
+  const Table empty{TestSchema()};
+  const Table three = ThreeRowTable();
+  // The second predicate would divide by zero on every row; the static
+  // type error still wins.
+  for (const char* text : {"da + db", "sa", "1 / (ia - ia)"}) {
+    auto expr = ParseExpr(text);
+    ASSERT_NE(expr, nullptr);
+    for (const Table* t : {&empty, &three}) {
+      Result<std::vector<uint32_t>> r = FilterRows(*expr, *t);
+      ASSERT_FALSE(r.ok()) << text;
+      EXPECT_EQ(r.status().code(), StatusCode::kTypeMismatch) << text;
+      EXPECT_EQ(r.status().message(), "WHERE predicate is not boolean")
+          << text;
+    }
+  }
+}
+
+// --- String lanes ---------------------------------------------------------
+
+TEST(BytecodeStringTest, ComparisonsWithNullAndEmptyStrings) {
+  const Table t = StringTable();
+  for (const char* cmp : {"=", "<>", "<", "<=", ">", ">="}) {
+    for (size_t batch : {size_t{1}, size_t{3}, kExprBatchSize}) {
+      ExpectParity(std::string("sa ") + cmp + " sb", t, batch);
+      ExpectParity(std::string("sa ") + cmp + " ''", t, batch);
+      ExpectParity(std::string("'' ") + cmp + " sb", t, batch);
+      ExpectParity(std::string("sa ") + cmp + " 'apple'", t, batch);
+    }
+  }
+}
+
+TEST(BytecodeStringTest, CoalesceNullifCaseAcrossBatchBoundaries) {
+  const Table t = StringTable();
+  for (size_t batch : {size_t{1}, size_t{3}}) {
+    ExpectParity("sa", t, batch);
+    ExpectParity("'lit'", t, batch);
+    ExpectParity("coalesce(sa, sb)", t, batch);
+    ExpectParity("coalesce(sa, sb, 'none')", t, batch);
+    ExpectParity("coalesce(sa, '')", t, batch);
+    ExpectParity("nullif(sa, sb)", t, batch);
+    ExpectParity("nullif(sa, '')", t, batch);
+    ExpectParity("CASE WHEN ia > 3 THEN sa ELSE sb END", t, batch);
+    ExpectParity("CASE WHEN sa < sb THEN sa WHEN ia = 5 THEN 'five' END", t,
+                 batch);
+    ExpectParity("CASE WHEN sa = '' THEN 'empty' ELSE coalesce(sa, '?') END",
+                 t, batch);
+    ExpectParity("coalesce(nullif(sa, 'zeta'), sb) >= 'b'", t, batch);
+  }
+}
+
+TEST(BytecodeStringTest, BareColumnReferenceReturnsTheColumn) {
+  const Table t = StringTable();
+  auto expr = ParseExpr("sa");
+  ASSERT_NE(expr, nullptr);
+  std::string disasm = "unset";
+  Result<Column> r = EvaluateExpr(*expr, t, &disasm);
+  ASSERT_TRUE(r.ok());
+  // Nothing compiles: the column is copied, dictionary and all.
+  EXPECT_EQ(disasm, "");
+  EXPECT_EQ(r->dictionary(), t.column(0).dictionary());
+  EXPECT_EQ(r->string_codes(), t.column(0).string_codes());
+  EXPECT_EQ(r->null_count(), t.column(0).null_count());
+}
+
+TEST(BytecodeStringTest, StaleViewsFromAnEarlierTableAreNeverRead) {
+  // The evaluator outlives the first table; its string registers then
+  // hold views into freed dictionaries. The second run's NULL lanes must
+  // not read them (ASan would flag the use-after-free).
+  BatchEvaluator eval(4);
+  {
+    const Table first = StringTable();
+    auto expr = ParseExpr("coalesce(sa, sb, 'none')");
+    auto p = CompileExpr(*expr, first.schema());
+    ASSERT_TRUE(p.ok());
+    ASSERT_TRUE(eval.Run(*p, first).ok());
+  }
+  const Table second = StringTable();
+  for (const char* text :
+       {"nullif(sa, sb) = sb", "CASE WHEN ia > 2 THEN sa END",
+        "coalesce(sa, sb) < 'c'"}) {
+    auto expr = ParseExpr(text);
+    auto p = CompileExpr(*expr, second.schema());
+    ASSERT_TRUE(p.ok()) << text;
+    Result<Column> r = eval.Run(*p, second);
+    ASSERT_TRUE(r.ok()) << text;
+  }
 }
 
 // --- §11 semantics parity -------------------------------------------------
@@ -243,9 +478,9 @@ TEST(BytecodeSemanticsTest, ArithmeticParity) {
 }
 
 TEST(BytecodeSemanticsTest, NaNComparisonClasses) {
-  // The NaN row must land in the same truth bucket on both engines:
-  // NaN > x and NaN >= x are TRUE, ==/</<= FALSE (three-way compare puts
-  // NaN in the "greater" class).
+  // The NaN row must land in the oracle's truth bucket: NaN > x and
+  // NaN >= x are TRUE, ==/</<= FALSE (three-way compare puts NaN in the
+  // "greater" class).
   const Table t = SmallTable();
   for (const char* cmp : {"=", "<>", "<", "<=", ">", ">="}) {
     ExpectParity(std::string("da ") + cmp + " db", t);
@@ -253,52 +488,39 @@ TEST(BytecodeSemanticsTest, NaNComparisonClasses) {
   }
 }
 
-TEST(BytecodeSemanticsTest, SignedZeroSurvivesBothEngines) {
+TEST(BytecodeSemanticsTest, SignedZeroSurvives) {
   const Table t = SmallTable();
-  // Row 1 has da = -0.0; the bit pattern must round-trip both engines
-  // (ExpectParity compares raw bits, not ==).
+  // Row 1 has da = -0.0; the bit pattern must round-trip (ExpectParity
+  // compares raw bits, not ==).
   ExpectParity("da", t);
   ExpectParity("da * 1.0", t);
   ExpectParity("-da", t);
 }
 
-TEST(BytecodeSemanticsTest, CheckedInt64OverflowParity) {
+TEST(BytecodeSemanticsTest, CheckedInt64OverflowErrors) {
   Table t{Schema({Field{"ia", DataType::kInt64, true}})};
   ASSERT_TRUE(t.AppendRow({Value::Int64(INT64_MAX)}).ok());
+  ExpectParity("ia + 1", t);
   auto expr = ParseExpr("ia + 1");
-  ASSERT_NE(expr, nullptr);
-  auto compiled = CompileExpr(*expr, t.schema());
-  ASSERT_TRUE(compiled.has_value());
-  Result<Column> tw = EvaluateExpr(*expr, t);
-  BatchEvaluator eval;
-  Result<Column> bc = eval.Run(*compiled, t);
-  ASSERT_FALSE(tw.ok());
-  ASSERT_FALSE(bc.ok());
-  EXPECT_EQ(tw.status().ToString(), bc.status().ToString());
-  EXPECT_NE(bc.status().ToString().find("integer overflow in arithmetic"),
-            std::string::npos);
+  Result<Column> r = EvaluateExpr(*expr, t);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "integer overflow in arithmetic");
 }
 
-TEST(BytecodeSemanticsTest, Int64MinEdgeCasesParity) {
+TEST(BytecodeSemanticsTest, Int64MinEdgeCases) {
   Table t{Schema({Field{"ia", DataType::kInt64, true},
                   Field{"ib", DataType::kInt64, true}})};
   ASSERT_TRUE(
       t.AppendRow({Value::Int64(INT64_MIN), Value::Int64(-1)}).ok());
-  // INT64_MIN % -1 is defined as 0 (not a trap) on both engines.
+  // INT64_MIN % -1 is defined as 0 (not a trap).
   ExpectParity("ia % ib", t);
-  // -INT64_MIN and abs(INT64_MIN) must error identically.
-  for (const char* text : {"-ia", "abs(ia)"}) {
-    auto expr = ParseExpr(text);
-    ASSERT_NE(expr, nullptr);
-    auto compiled = CompileExpr(*expr, t.schema());
-    ASSERT_TRUE(compiled.has_value());
-    Result<Column> tw = EvaluateExpr(*expr, t);
-    BatchEvaluator eval;
-    Result<Column> bc = eval.Run(*compiled, t);
-    ASSERT_FALSE(tw.ok()) << text;
-    ASSERT_FALSE(bc.ok()) << text;
-    EXPECT_EQ(tw.status().ToString(), bc.status().ToString()) << text;
-  }
+  // -INT64_MIN and abs(INT64_MIN) error.
+  ExpectParity("-ia", t);
+  ExpectParity("abs(ia)", t);
+  EXPECT_EQ(EvaluateExpr(*ParseExpr("-ia"), t).status().message(),
+            "integer overflow in negation");
+  EXPECT_EQ(EvaluateExpr(*ParseExpr("abs(ia)"), t).status().message(),
+            "integer overflow in abs()");
 }
 
 TEST(BytecodeSemanticsTest, DivisionByZeroSkipsNullLanes) {
@@ -310,17 +532,11 @@ TEST(BytecodeSemanticsTest, DivisionByZeroSkipsNullLanes) {
   ASSERT_TRUE(t.AppendRow({Value::Double(1.0), Value::Null()}).ok());
   ExpectParity("da / db", t);
   ExpectParity("da % db", t);
-  // And a real 0.0 divisor on a non-NULL lane errors on both engines.
+  // And a real 0.0 divisor on a non-NULL lane errors.
   ASSERT_TRUE(t.AppendRow({Value::Double(1.0), Value::Double(0.0)}).ok());
-  auto expr = ParseExpr("da / db");
-  auto compiled = CompileExpr(*expr, t.schema());
-  ASSERT_TRUE(compiled.has_value());
-  Result<Column> tw = EvaluateExpr(*expr, t);
-  BatchEvaluator eval;
-  Result<Column> bc = eval.Run(*compiled, t);
-  ASSERT_FALSE(tw.ok());
-  ASSERT_FALSE(bc.ok());
-  EXPECT_EQ(tw.status().ToString(), bc.status().ToString());
+  ExpectParity("da / db", t);
+  EXPECT_EQ(EvaluateExpr(*ParseExpr("da / db"), t).status().message(),
+            "division by zero");
 }
 
 TEST(BytecodeSemanticsTest, ThreeValuedLogicParity) {
@@ -344,8 +560,8 @@ TEST(BytecodeSemanticsTest, CaseCoalesceNullifParity) {
 }
 
 TEST(BytecodeSemanticsTest, ComparisonHorizonAt2Pow53) {
-  // 2^53 + 1 == 2^53 compares TRUE through double coercion on both
-  // engines — the shared (documented) horizon, not a divergence.
+  // 2^53 + 1 == 2^53 compares TRUE through double coercion — the shared
+  // (documented) horizon, not a divergence.
   const Table t = SmallTable();
   ExpectParity("ia = ib", t);
   ExpectParity("ia = da", t);
@@ -354,28 +570,12 @@ TEST(BytecodeSemanticsTest, ComparisonHorizonAt2Pow53) {
 // --- VM mechanics ---------------------------------------------------------
 
 TEST(BytecodeVmTest, TinyBatchesCrossBoundariesCorrectly) {
-  // batch_size 3 over 5 rows: 2 batches, the second partial. Results must
-  // be identical to the default batch size and the tree-walker.
+  // batch_size 3 over 5 rows: 2 batches, the second partial.
   const Table t = SmallTable();
-  auto expr = ParseExpr("da * 2.0 + ia");
-  ASSERT_NE(expr, nullptr);
-  auto compiled = CompileExpr(*expr, t.schema());
-  ASSERT_TRUE(compiled.has_value());
-  BatchEvaluator tiny(3);
-  Result<Column> small = tiny.Run(*compiled, t);
-  ASSERT_TRUE(small.ok()) << small.status().ToString();
-  Result<Column> tw = EvaluateExpr(*expr, t);
-  ASSERT_TRUE(tw.ok());
-  ASSERT_EQ(small->size(), tw->size());
-  for (size_t i = 0; i < tw->size(); ++i) {
-    ASSERT_EQ(small->IsNull(i), tw->IsNull(i)) << i;
-    if (tw->IsNull(i)) continue;
-    const double a = small->DoubleAt(i), b = tw->DoubleAt(i);
-    if (std::isnan(b)) {
-      EXPECT_TRUE(std::isnan(a)) << i;
-    } else {
-      EXPECT_EQ(a, b) << i;
-    }
+  for (size_t batch : {size_t{1}, size_t{3}}) {
+    ExpectParity("da * 2.0 + ia", t, batch);
+    ExpectParity("coalesce(da, ia, -1)", t, batch);
+    ExpectParity("CASE WHEN ba THEN ia END", t, batch);
   }
 }
 
@@ -387,7 +587,7 @@ TEST(BytecodeVmTest, ScratchReuseIsBitIdenticalAcrossRuns) {
   auto run = [&](const std::string& text) {
     auto expr = ParseExpr(text);
     auto compiled = CompileExpr(*expr, t.schema());
-    EXPECT_TRUE(compiled.has_value()) << text;
+    EXPECT_TRUE(compiled.ok()) << text;
     Result<Column> c = eval.Run(*compiled, t);
     EXPECT_TRUE(c.ok()) << text;
     return std::move(c).value();
@@ -408,45 +608,66 @@ TEST(BytecodeVmTest, ScratchReuseIsBitIdenticalAcrossRuns) {
   }
 }
 
-TEST(BytecodeVmTest, FilterMatchesTreewalkSelection) {
+TEST(BytecodeVmTest, FilterSelectsExactlyTheTrueRows) {
+  // RunFilter must select the rows whose materialized mask is TRUE:
+  // NULL (row 4: NULL AND TRUE) and FALSE rows drop out.
   const Table t = SmallTable();
-  auto expr = ParseExpr("da > 0 AND ia < 100");
-  ASSERT_NE(expr, nullptr);
-  Result<std::vector<uint32_t>> tw = FilterRows(*expr, t);
-  ASSERT_TRUE(tw.ok());
-  SetGlobalExprEngine(ExprEngine::kBytecode);
-  Result<std::vector<uint32_t>> bc = FilterRowsAuto(*expr, t);
-  ASSERT_TRUE(bc.ok());
-  EXPECT_EQ(*tw, *bc);
+  for (const char* text : {"da > 0 AND ia < 100", "ba OR da > 1.0",
+                           "sa = 's' AND NOT ba"}) {
+    auto expr = ParseExpr(text);
+    ASSERT_NE(expr, nullptr);
+    Result<std::vector<uint32_t>> rows = FilterRows(*expr, t);
+    ASSERT_TRUE(rows.ok()) << text;
+    Result<Column> mask = EvaluateExpr(*expr, t);
+    ASSERT_TRUE(mask.ok()) << text;
+    std::vector<uint32_t> want;
+    for (size_t i = 0; i < mask->size(); ++i) {
+      if (!mask->IsNull(i) && mask->BoolAt(i)) {
+        want.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    EXPECT_EQ(*rows, want) << text;
+  }
 }
 
-TEST(BytecodeVmTest, NonBooleanFilterDiagnosesLikeTreewalk) {
+TEST(BytecodeVmTest, DisassemblyNamesTheCompiledProgram) {
   const Table t = SmallTable();
-  auto expr = ParseExpr("da + db");
-  ASSERT_NE(expr, nullptr);
-  Result<std::vector<uint32_t>> tw = FilterRows(*expr, t);
-  SetGlobalExprEngine(ExprEngine::kBytecode);
-  Result<std::vector<uint32_t>> bc = FilterRowsAuto(*expr, t);
-  ASSERT_FALSE(tw.ok());
-  ASSERT_FALSE(bc.ok());
-  EXPECT_EQ(tw.status().ToString(), bc.status().ToString());
+  std::string disasm;
+  ASSERT_TRUE(EvaluateExpr(*ParseExpr("da + 1.0"), t, &disasm).ok());
+  EXPECT_NE(disasm.find("add.f64"), std::string::npos) << disasm;
+  ASSERT_TRUE(FilterRows(*ParseExpr("sa = 's'"), t, &disasm).ok());
+  EXPECT_NE(disasm.find("cmpeq.str"), std::string::npos) << disasm;
 }
 
-TEST(BytecodeVmTest, TreewalkToggleForcesFallback) {
-  const Table t = SmallTable();
-  auto expr = ParseExpr("da + 1.0");
-  ASSERT_NE(expr, nullptr);
-  SetGlobalExprEngine(ExprEngine::kTreewalk);
-  std::string disasm = "unset";
-  Result<Column> r = EvaluateExprAuto(*expr, t, &disasm);
-  SetGlobalExprEngine(ExprEngine::kBytecode);
-  ASSERT_TRUE(r.ok());
-  // Forced treewalk never compiles, so the disassembly stays empty.
-  EXPECT_EQ(disasm, "");
-  std::string disasm2;
-  Result<Column> r2 = EvaluateExprAuto(*expr, t, &disasm2);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_NE(disasm2.find("add.f64"), std::string::npos) << disasm2;
+TEST(BytecodeVmTest, FoldingAndConstantsBumpNoCounter) {
+  Counter* compiled = MetricsRegistry::Global().GetCounter("expr.compiled");
+  Counter* batches = MetricsRegistry::Global().GetCounter("expr.batches");
+  const uint64_t compiled0 = compiled->value();
+  const uint64_t batches0 = batches->value();
+  auto v = EvaluateConstant(*ParseExpr("-(1 + 2) * 4"));
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->int64(), -12);
+  ASSERT_TRUE(Compile("da + (1 + 2) * 4 + abs(-3)").ok());
+  EXPECT_EQ(compiled->value(), compiled0);
+  EXPECT_EQ(batches->value(), batches0);
+  // A query-time evaluation counts one compile and one batch per 1024
+  // rows.
+  ASSERT_TRUE(EvaluateExpr(*ParseExpr("da + (1 + 2)"), SmallTable()).ok());
+  EXPECT_EQ(compiled->value(), compiled0 + 1);
+  EXPECT_EQ(batches->value(), batches0 + 1);
+}
+
+TEST(BytecodeVmTest, EvaluateConstantCoversEveryResultType) {
+  EXPECT_TRUE(EvaluateConstant(*ParseExpr("NULL"))->is_null());
+  EXPECT_EQ(EvaluateConstant(*ParseExpr("1.5 * 2"))->dbl(), 3.0);
+  EXPECT_TRUE(EvaluateConstant(*ParseExpr("1 < 2"))->boolean());
+  EXPECT_EQ(EvaluateConstant(*ParseExpr("coalesce(NULL, 7)"))->dbl(), 7.0);
+  EXPECT_EQ(EvaluateConstant(*ParseExpr("nullif('a', 'b')"))->str(), "a");
+  EXPECT_TRUE(EvaluateConstant(*ParseExpr("nullif(2, 2)"))->is_null());
+  EXPECT_EQ(EvaluateConstant(*ParseExpr("1 / 0")).status().message(),
+            "division by zero");
+  EXPECT_EQ(EvaluateConstant(*ParseExpr("x + 1")).status().code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 #include "compress/block_store.h"
 #include "query/compressed_scan.h"
 #include "query/executor.h"
-#include "query/expr_eval.h"
 #include "query/parser.h"
+#include "query/vector_eval.h"
 #include "storage/catalog.h"
 
 namespace laws {
@@ -38,7 +38,7 @@ std::unique_ptr<Expr> ParsePred(const std::string& where) {
 }
 
 /// Runs `where` through the compressed tier and asserts the selection is
-/// identical to the reference tree-walk FilterRows. Returns the stats for
+/// identical to the decode path's FilterRows (the bytecode VM). Returns the stats for
 /// pruning assertions; fails the test if the compressed tier declined.
 ScanStats ExpectCompressedMatches(const TablePtr& table,
                                   const std::string& where) {

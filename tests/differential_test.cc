@@ -195,10 +195,11 @@ TEST(DifferentialTest, MutationSmokeCatchesInjectedBug) {
       << "injected aggregate bug was not detected";
 }
 
-// The bytecode tier carries its own planted mutant (the compiled f64
-// adder drops the last lane of every batch), which only the tree-walk vs
-// bytecode leg of the matrix can see — proving the new tier is actually
-// under differential test, not shadowed by the tree-walker.
+// The expression VM carries its own planted mutant (the compiled f64
+// adder drops the last lane of every batch). Every executor tier shares
+// the VM, so the tier legs agree with each other; only the oracle leg can
+// catch it — proving the evaluator is checked against an independent
+// reference, not just against itself.
 TEST(DifferentialTest, MutationSmokeCatchesInjectedBytecodeBug) {
   GenTable t;
   t.name = "t0";
