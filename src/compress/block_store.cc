@@ -1,43 +1,18 @@
 #include "compress/block_store.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <mutex>
-#include <unordered_map>
 
-#include "common/env.h"
 #include "common/metrics.h"
 
 namespace laws {
 namespace {
 
-constexpr size_t kDefaultBlockRows = 4096;
 constexpr double kExactIntBound = 9007199254740992.0;  // 2^53
-
-size_t InitialBlockRows() {
-  // Strict parse (common/env.h): the old atol here silently read
-  // "4096abc" as 4096; now malformed values warn once and fall back.
-  const int64_t v = EnvInt64("LAWS_SCAN_BLOCK_ROWS",
-                             static_cast<int64_t>(kDefaultBlockRows), 1,
-                             int64_t{1} << 31);
-  return static_cast<size_t>(v);
-}
-
-std::atomic<size_t>& BlockRowsFlag() {
-  static std::atomic<size_t> rows{InitialBlockRows()};
-  return rows;
-}
 
 Counter* IndexBuildCounter() {
   static Counter* c =
       MetricsRegistry::Global().GetCounter("scan.index_builds");
-  return c;
-}
-
-Counter* IndexEvictionCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("scan.index_evictions");
   return c;
 }
 
@@ -129,48 +104,10 @@ ColumnBlockIndex BuildColumnIndex(const Column& col, size_t num_rows,
   return out;
 }
 
-/// Process-wide index cache. Keyed by table address but validated through
-/// a weak_ptr to the owning shared_ptr, so a freed-and-recycled address
-/// can never serve another table's index.
-struct CacheEntry {
-  std::weak_ptr<Table> owner;
-  std::shared_ptr<const BlockIndex> index;
-};
+}  // namespace
 
-std::mutex g_cache_mutex;
-std::unordered_map<const Table*, CacheEntry>& Cache() {
-  static auto* cache = new std::unordered_map<const Table*, CacheEntry>();
-  return *cache;
-}
-
-/// `block_rows` is the caller's single read of the block-size flag:
-/// validation and (on miss) the rebuild must both use the same value,
-/// otherwise a concurrent SetScanBlockRows between the two reads can
-/// register an index built at a different size than was validated
-/// (the EnsureBlockIndex TOCTOU).
-bool IndexCurrent(const BlockIndex& index, const Table& table,
-                  size_t block_rows) {
-  return index.data_version == table.data_version() &&
-         index.num_rows == table.num_rows() &&
-         index.block_rows == block_rows;
-}
-
-void EvictExpiredLocked() {
-  auto& cache = Cache();
-  size_t evicted = 0;
-  for (auto it = cache.begin(); it != cache.end();) {
-    if (it->second.owner.expired()) {
-      it = cache.erase(it);
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  if (evicted > 0) IndexEvictionCounter()->Add(evicted);
-}
-
-std::shared_ptr<const BlockIndex> BuildBlockIndexAt(const Table& table,
-                                                    size_t block_rows) {
+std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table,
+                                                  size_t block_rows) {
   auto index = std::make_shared<BlockIndex>();
   index->block_rows = block_rows;
   index->num_rows = table.num_rows();
@@ -187,66 +124,13 @@ std::shared_ptr<const BlockIndex> BuildBlockIndexAt(const Table& table,
   return index;
 }
 
-}  // namespace
-
-size_t ScanBlockRows() {
-  return BlockRowsFlag().load(std::memory_order_relaxed);
-}
-
-void SetScanBlockRows(size_t rows) {
-  BlockRowsFlag().store(rows == 0 ? kDefaultBlockRows : rows,
-                        std::memory_order_relaxed);
-}
-
-std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table) {
-  return BuildBlockIndexAt(table, ScanBlockRows());
-}
-
-std::shared_ptr<const BlockIndex> EnsureBlockIndex(const TablePtr& table) {
-  if (!table) return nullptr;
-  // One read of the flag for the whole operation (validate AND build).
-  const size_t block_rows = ScanBlockRows();
-  {
-    std::lock_guard<std::mutex> lock(g_cache_mutex);
-    EvictExpiredLocked();
-    auto it = Cache().find(table.get());
-    if (it != Cache().end() && it->second.owner.lock() == table &&
-        IndexCurrent(*it->second.index, *table, block_rows)) {
-      return it->second.index;
-    }
-  }
-  // Build outside the lock: index construction is a full column sweep.
-  std::shared_ptr<const BlockIndex> index =
-      BuildBlockIndexAt(*table, block_rows);
-  {
-    std::lock_guard<std::mutex> lock(g_cache_mutex);
-    EvictExpiredLocked();
-    Cache()[table.get()] = CacheEntry{table, index};
+std::shared_ptr<const BlockIndex> CurrentBlockIndex(const Table& table) {
+  std::shared_ptr<const BlockIndex> index = table.block_index();
+  if (index == nullptr || index->data_version != table.data_version() ||
+      index->num_rows != table.num_rows()) {
+    return nullptr;
   }
   return index;
-}
-
-std::shared_ptr<const BlockIndex> FindBlockIndex(const Table& table) {
-  const size_t block_rows = ScanBlockRows();
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  EvictExpiredLocked();
-  auto it = Cache().find(&table);
-  if (it == Cache().end()) return nullptr;
-  auto owner = it->second.owner.lock();
-  if (!owner || owner.get() != &table) return nullptr;
-  if (!IndexCurrent(*it->second.index, table, block_rows)) return nullptr;
-  return it->second.index;
-}
-
-void PurgeExpiredBlockIndexes() {
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  EvictExpiredLocked();
-}
-
-size_t BlockIndexCacheSize() {
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  EvictExpiredLocked();
-  return Cache().size();
 }
 
 }  // namespace laws

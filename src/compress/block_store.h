@@ -17,7 +17,8 @@ namespace laws {
 /// run view formed by bit-pattern equality. The plain `Table` columns
 /// remain the source of truth: the index only licenses skipping or
 /// batching work, so a stale or missing index is always just a slower
-/// scan, never a different answer.
+/// scan, never a different answer. Each table version owns its index
+/// (Table::block_index), so the index is freed with the table.
 
 /// Per-block, per-column statistics. `min`/`max` cover the comparable
 /// values (non-NULL, non-NaN) after the engine's double coercion, which
@@ -87,42 +88,20 @@ struct BlockIndex {
   }
 };
 
-/// Rows per block. Default 4096; LAWS_SCAN_BLOCK_ROWS overrides at
-/// process start, SetScanBlockRows overrides at runtime (test hook — the
-/// differential harness shrinks blocks to a handful of rows so tiny
-/// fuzzer tables still span multiple blocks).
-size_t ScanBlockRows();
-void SetScanBlockRows(size_t rows);
+/// Rows per block of the index ExecuteSelect attaches to a base table.
+/// Tests and the differential harness attach smaller-block indexes with
+/// BuildBlockIndex so tiny tables still span several blocks.
+inline constexpr size_t kDefaultBlockRows = 4096;
 
-/// Builds a block index for `table` with the current block size
-/// (unconditionally; no caching).
-std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table);
+/// Builds a block index for `table` at `block_rows` (> 0) rows per block.
+/// Attach it with Table::set_block_index.
+std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table,
+                                                  size_t block_rows);
 
-/// Returns the cached index for `table`, building and registering it if
-/// absent or stale. The cache is keyed by table identity (address,
-/// validated through the owning shared_ptr so a recycled address can
-/// never alias) and invalidated by data_version and block-size changes.
-/// The block-size flag is read exactly once per call and threaded
-/// through both the validation and the build, so a concurrent
-/// SetScanBlockRows can never cache an index whose `block_rows`
-/// disagrees with the size its zone maps were computed at.
-std::shared_ptr<const BlockIndex> EnsureBlockIndex(const TablePtr& table);
-
-/// Validated cache lookup by reference: returns the index only when a
-/// live registration matches this table's address, data version and the
-/// current block size; nullptr otherwise. Never builds.
-std::shared_ptr<const BlockIndex> FindBlockIndex(const Table& table);
-
-/// Drops cache entries whose owning table has been destroyed (the
-/// weak_ptr expired). Every eviction bumps the `scan.index_evictions`
-/// counter. Lookups already purge opportunistically, so a long-running
-/// server that drops or replaces tables cannot pin dead indexes
-/// indefinitely; call this explicitly after a catalog commit to free
-/// the memory immediately rather than at the next scan.
-void PurgeExpiredBlockIndexes();
-
-/// Number of live cache entries (post-purge); test/diagnostic hook.
-size_t BlockIndexCacheSize();
+/// The index attached to `table` if it still describes the table's rows
+/// (same data_version and row count); nullptr when none is attached or a
+/// mutation has made it stale.
+std::shared_ptr<const BlockIndex> CurrentBlockIndex(const Table& table);
 
 }  // namespace laws
 

@@ -169,6 +169,10 @@ class Learner : public LearningObserver {
     /// scans of unchanged data harvest nothing twice.
     size_t seen_rows = 0;
     uint64_t seen_version = 0;
+    /// Bumped each time the accumulator restarts from scratch. A harvest
+    /// merges its rows only into the lineage it reserved them from; a
+    /// later version of the same append-only table keeps the lineage.
+    uint64_t lineage = 0;
     /// acc.count() at the last Apply attempt; gates re-solving.
     size_t solved_count = 0;
     /// Catalog id once promoted/adopted; 0 while still a candidate.

@@ -1,30 +1,16 @@
 #include "query/compressed_scan.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
 
-#include "common/env.h"
 #include "common/governor.h"
 #include "common/metrics.h"
 #include "compress/block_store.h"
 
 namespace laws {
 namespace {
-
-// --- Engine toggle ---------------------------------------------------------
-
-ScanEngine InitialScanEngine() {
-  return EnvFlag("LAWS_SCAN_DECODE", false) ? ScanEngine::kDecode
-                                            : ScanEngine::kCompressed;
-}
-
-std::atomic<int>& ScanEngineFlag() {
-  static std::atomic<int> engine{static_cast<int>(InitialScanEngine())};
-  return engine;
-}
 
 // --- Counters --------------------------------------------------------------
 
@@ -478,15 +464,6 @@ double CoercedAt(const Column& col, size_t r) {
 
 }  // namespace
 
-ScanEngine GlobalScanEngine() {
-  return static_cast<ScanEngine>(
-      ScanEngineFlag().load(std::memory_order_relaxed));
-}
-
-void SetGlobalScanEngine(ScanEngine engine) {
-  ScanEngineFlag().store(static_cast<int>(engine), std::memory_order_relaxed);
-}
-
 std::string ScanStats::Describe() const {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
@@ -497,8 +474,7 @@ std::string ScanStats::Describe() const {
 
 std::optional<std::vector<uint32_t>> CompressedFilterRows(
     const Expr& pred, const Table& table, ScanStats* stats) {
-  if (GlobalScanEngine() != ScanEngine::kCompressed) return std::nullopt;
-  const std::shared_ptr<const BlockIndex> index = FindBlockIndex(table);
+  const std::shared_ptr<const BlockIndex> index = CurrentBlockIndex(table);
   if (index == nullptr) return std::nullopt;
   const std::unique_ptr<ScanPred> plan = Classify(pred, table);
   if (plan == nullptr) {
@@ -699,8 +675,7 @@ ColumnFold FoldColumn(const Table& table, const BlockIndex& index, int col) {
 
 std::optional<std::vector<AggState>> EncodedGlobalAggregate(
     const Table& table, const std::vector<const Expr*>& slots) {
-  if (GlobalScanEngine() != ScanEngine::kCompressed) return std::nullopt;
-  const std::shared_ptr<const BlockIndex> index = FindBlockIndex(table);
+  const std::shared_ptr<const BlockIndex> index = CurrentBlockIndex(table);
   if (index == nullptr) return std::nullopt;
 
   std::vector<AggState> states;

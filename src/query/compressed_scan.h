@@ -19,17 +19,8 @@ namespace laws {
 /// statistics without touching rows. Every entry point either produces a
 /// result bit-identical to the decode-then-evaluate path or declines
 /// (returns nullopt) so the caller falls back — never a third outcome.
-
-/// Scan-tier selector. kCompressed is the default; LAWS_SCAN_DECODE=1 in
-/// the environment forces kDecode at startup (escape hatch +
-/// differential-tier hook).
-enum class ScanEngine {
-  kCompressed,
-  kDecode,
-};
-
-ScanEngine GlobalScanEngine();
-void SetGlobalScanEngine(ScanEngine engine);
+/// A table with no current index (Table::block_index) always declines:
+/// decoding is simply what a scan does without one.
 
 /// Per-scan statistics for EXPLAIN ANALYZE span details (the process-wide
 /// scan.* counters are bumped internally).
@@ -45,8 +36,8 @@ struct ScanStats {
 /// Attempts to evaluate WHERE predicate `pred` over `table` in the
 /// compressed domain. Returns the selected row indices (ascending) —
 /// bit-identical to FilterRows on the same inputs — or nullopt when:
-///  - the scan engine is kDecode, or the table has no current block
-///    index registered (EnsureBlockIndex was never called / data moved);
+///  - the table has no current block index (none attached, or a
+///    mutation since made it stale);
 ///  - the predicate falls outside the conservative class (anything that
 ///    could raise a column-level type error, touch strings, or evaluate
 ///    arithmetic: those shapes keep their existing error behavior on the
@@ -64,7 +55,7 @@ std::optional<std::vector<uint32_t>> CompressedFilterRows(
 /// exactness proof (all blocks integral, total magnitude under 2^53, no
 /// NaNs) so the fold is bit-identical to the row sweep in any order.
 /// Returns one finalized-compatible AggState per slot, or nullopt to
-/// decline (engine off, no index, unsupported shape, exactness unproven).
+/// decline (no current index, unsupported shape, exactness unproven).
 std::optional<std::vector<AggState>> EncodedGlobalAggregate(
     const Table& table, const std::vector<const Expr*>& slots);
 

@@ -823,11 +823,12 @@ Result<Table> ExecuteSelect(const Catalog& catalog,
   executed->Add();
   LAWS_ASSIGN_OR_RETURN(TablePtr table, catalog.Get(stmt.from_table));
   if (stmt.join_table.empty()) {
-    // Register (or refresh) the block index for the base table so the
-    // compressed scan tier can serve this and later queries. Joined and
-    // derived tables stay unindexed — they fall back to decode.
-    if (GlobalScanEngine() == ScanEngine::kCompressed) {
-      EnsureBlockIndex(table);
+    // Attach a block index to the base table on its first scan, or after
+    // a mutation made the attached one stale, so the compressed scan tier
+    // can serve this and later queries. Joined and derived tables stay
+    // unindexed: they are scanned by decoding.
+    if (CurrentBlockIndex(*table) == nullptr) {
+      table->set_block_index(BuildBlockIndex(*table, kDefaultBlockRows));
     }
     return ExecuteSelectOnTable(*table, stmt);
   }
@@ -962,10 +963,8 @@ std::string ExplainCounterDiff::Render() const {
   std::snprintf(
       buf, sizeof(buf),
       "expr: compiled=%llu batches=%llu\n"
-      "scan: engine=%s blocks=%llu pruned=%llu runs_skipped=%llu "
-      "encoded_agg=%llu\n",
+      "scan: blocks=%llu pruned=%llu runs_skipped=%llu encoded_agg=%llu\n",
       delta("expr.compiled", compiled_), delta("expr.batches", batches_),
-      GlobalScanEngine() == ScanEngine::kCompressed ? "compressed" : "decode",
       delta("scan.blocks_total", blocks_), delta("scan.blocks_pruned", pruned_),
       delta("scan.runs_skipped", run_skips_),
       delta("scan.encoded_agg", enc_agg_));

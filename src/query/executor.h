@@ -62,8 +62,9 @@ Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
 /// process-global, so construction snapshots them and Render() prints the
 /// deltas since:
 ///   expr: compiled=N batches=N
-///   scan: engine=compressed|decode blocks=N pruned=N runs_skipped=N
-///         encoded_agg=N
+///   scan: blocks=N pruned=N runs_skipped=N encoded_agg=N
+/// blocks counts the blocks a WHERE filter visited through a table's
+/// block index; blocks=0 on a filtered query means it decoded every row.
 class ExplainCounterDiff {
  public:
   ExplainCounterDiff();

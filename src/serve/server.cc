@@ -47,10 +47,6 @@ size_t RowsOf(const Table& t) { return t.num_rows(); }
 size_t RowsOf(const HybridAnswer& a) { return a.table.num_rows(); }
 size_t RowsOf(const ApproxAnswer& a) { return a.table.num_rows(); }
 size_t RowsOf(const std::string&) { return 0; }
-size_t RowsOf(const FitReport&) { return 0; }
-size_t RowsOf(const RefitReport&) { return 0; }
-size_t RowsOf(size_t) { return 0; }
-size_t RowsOf(bool) { return 0; }
 
 }  // namespace
 
@@ -270,8 +266,13 @@ std::future<Result<Table>> ClientSession::SubmitSql(const std::string& sql) {
   // GlobalShared pins the pool across the submission, so a concurrent
   // SetGlobalThreadCount cannot tear it down under the task.
   std::shared_ptr<ThreadPool> pool = ThreadPool::GlobalShared();
-  pool->Submit([self, promise, sql, pool] {
-    promise->set_value(self->ExecuteSql(sql));
+  pool->Submit([self, promise, sql, pool]() mutable {
+    Result<Table> result = self->ExecuteSql(sql);
+    // Drop the task's session reference before waking the waiter: once
+    // the future is ready the caller may destroy the Server, and a
+    // session closed after that would report to a dead Server.
+    self.reset();
+    promise->set_value(std::move(result));
   });
   return future;
 }

@@ -2,6 +2,7 @@
 #define LAWSDB_STORAGE_TABLE_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,8 @@
 #include "storage/schema.h"
 
 namespace laws {
+
+struct BlockIndex;  // compress/block_store.h
 
 /// An in-memory columnar table. Mutations bump a data version counter that
 /// the model-capture layer (laws::core) uses to detect stale fits — the
@@ -53,6 +56,19 @@ class Table {
   /// Monotonic counter incremented by every mutation.
   uint64_t data_version() const { return data_version_; }
 
+  /// The compressed-scan block index attached to this table, or nullptr.
+  /// It is derived data: whoever reads it checks its data_version and row
+  /// count against the table's (CurrentBlockIndex in compress/block_store.h),
+  /// so an index left behind by a mutation is ignored, never misread.
+  /// Copies and moves of a Table start with no index. Safe to call from
+  /// concurrent readers of one shared table; the last store wins.
+  std::shared_ptr<const BlockIndex> block_index() const {
+    return block_index_.Load();
+  }
+  void set_block_index(std::shared_ptr<const BlockIndex> index) {
+    block_index_.Store(std::move(index));
+  }
+
   /// Total columnar heap footprint in bytes.
   size_t MemoryBytes() const;
 
@@ -64,6 +80,34 @@ class Table {
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
   uint64_t data_version_ = 0;
+
+  /// Holds the index under a mutex. (GCC 12's std::atomic<std::shared_ptr>
+  /// releases its lock bit with relaxed ordering on load, which TSan
+  /// reports as a race against the next store.) Copying or assigning a
+  /// slot empties the target, so an index never outlives the rows it was
+  /// built from.
+  class BlockIndexSlot {
+   public:
+    BlockIndexSlot() = default;
+    BlockIndexSlot(const BlockIndexSlot&) {}
+    BlockIndexSlot& operator=(const BlockIndexSlot&) {
+      Store(nullptr);
+      return *this;
+    }
+    std::shared_ptr<const BlockIndex> Load() const {
+      std::lock_guard<std::mutex> lock(mutex_);
+      return index_;
+    }
+    void Store(std::shared_ptr<const BlockIndex> index) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      index_.swap(index);  // the old index is released after unlocking
+    }
+
+   private:
+    mutable std::mutex mutex_;
+    std::shared_ptr<const BlockIndex> index_;
+  };
+  BlockIndexSlot block_index_;
 };
 
 using TablePtr = std::shared_ptr<Table>;

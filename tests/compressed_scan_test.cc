@@ -18,18 +18,11 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// Pins the scan block size for a test and restores it afterwards, so the
-/// fixed small tables here span several blocks.
-class BlockRowsGuard {
- public:
-  explicit BlockRowsGuard(size_t rows) : prev_(ScanBlockRows()) {
-    SetScanBlockRows(rows);
-  }
-  ~BlockRowsGuard() { SetScanBlockRows(prev_); }
-
- private:
-  size_t prev_;
-};
+/// Attaches an index at `block_rows` rows per block, so the fixed small
+/// tables here span several blocks.
+void AttachIndex(const TablePtr& table, size_t block_rows) {
+  table->set_block_index(BuildBlockIndex(*table, block_rows));
+}
 
 std::unique_ptr<Expr> ParsePred(const std::string& where) {
   auto stmt = ParseSelect("SELECT 1 FROM t WHERE " + where);
@@ -40,9 +33,9 @@ std::unique_ptr<Expr> ParsePred(const std::string& where) {
 /// Runs `where` through the compressed tier and asserts the selection is
 /// identical to the decode path's FilterRows (the bytecode VM). Returns the stats for
 /// pruning assertions; fails the test if the compressed tier declined.
+/// The table must carry a current index (AttachIndex).
 ScanStats ExpectCompressedMatches(const TablePtr& table,
                                   const std::string& where) {
-  EnsureBlockIndex(table);
   auto pred = ParsePred(where);
   ScanStats stats;
   auto compressed = CompressedFilterRows(*pred, *table, &stats);
@@ -65,12 +58,12 @@ TablePtr MakeDoubleTable(const std::vector<Value>& values) {
 }
 
 TEST(CompressedScanTest, PrunesBlocksOutsideThePredicateRange) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false}}));
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(t->AppendRow({Value::Int64(i)}).ok());
   }
+  AttachIndex(t, 4);
   const ScanStats stats = ExpectCompressedMatches(t, "ia >= 13");
   EXPECT_EQ(stats.blocks_total, 4u);
   // Blocks [0,4), [4,8), [8,12) prune; [12,16) is SOME (13..15 of 12..15).
@@ -78,12 +71,12 @@ TEST(CompressedScanTest, PrunesBlocksOutsideThePredicateRange) {
 }
 
 TEST(CompressedScanTest, PredicateExactlyAtBlockMinAndMax) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false}}));
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(t->AppendRow({Value::Int64(i)}).ok());
   }
+  AttachIndex(t, 4);
   // Block 0 holds 0..3, block 1 holds 4..7. Each predicate sits exactly
   // on a zone boundary; off-by-one pruning would drop the boundary row.
   ExpectCompressedMatches(t, "ia = 3");   // block-0 max
@@ -95,10 +88,10 @@ TEST(CompressedScanTest, PredicateExactlyAtBlockMinAndMax) {
 }
 
 TEST(CompressedScanTest, AllNullBlocksNeverMatchButCountNulls) {
-  BlockRowsGuard guard(2);
   auto t = MakeDoubleTable({Value::Null(), Value::Null(), Value::Null(),
                             Value::Null(), Value::Double(1.0),
                             Value::Double(2.0)});
+  AttachIndex(t, 2);
   const ScanStats stats = ExpectCompressedMatches(t, "da >= 0.0");
   // The two all-NULL blocks can only produce NULL: both prune.
   EXPECT_EQ(stats.blocks_total, 3u);
@@ -108,9 +101,9 @@ TEST(CompressedScanTest, AllNullBlocksNeverMatchButCountNulls) {
 }
 
 TEST(CompressedScanTest, AllNaNBlocksFollowComparisonSemantics) {
-  BlockRowsGuard guard(2);
   auto t = MakeDoubleTable({Value::Double(kNaN), Value::Double(kNaN),
                             Value::Double(1.0), Value::Double(2.0)});
+  AttachIndex(t, 2);
   // NaN lands in the "greater" slot of the three-way compare: it
   // satisfies != / > / >= and fails = / < / <= (DESIGN.md §11).
   ExpectCompressedMatches(t, "da > 100.0");
@@ -122,12 +115,12 @@ TEST(CompressedScanTest, AllNaNBlocksFollowComparisonSemantics) {
 }
 
 TEST(CompressedScanTest, SignedZeroStraddlingBlockBoundary) {
-  BlockRowsGuard guard(2);
   // -0.0 and +0.0 compare equal, so either sign is a valid zone
   // endpoint; block 0 is all -0.0, block 1 mixes signs.
   auto t = MakeDoubleTable({Value::Double(-0.0), Value::Double(-0.0),
                             Value::Double(0.0), Value::Double(-0.0),
                             Value::Double(1.0), Value::Double(2.0)});
+  AttachIndex(t, 2);
   ExpectCompressedMatches(t, "da = 0.0");
   ExpectCompressedMatches(t, "da <= 0.0");
   ExpectCompressedMatches(t, "da < 0.0");   // nothing: -0.0 < 0.0 is false
@@ -136,9 +129,8 @@ TEST(CompressedScanTest, SignedZeroStraddlingBlockBoundary) {
 }
 
 TEST(CompressedScanTest, EmptyTableYieldsEmptySelection) {
-  BlockRowsGuard guard(4);
   auto t = MakeDoubleTable({});
-  EnsureBlockIndex(t);
+  AttachIndex(t, 4);
   auto pred = ParsePred("da > 1.0");
   ScanStats stats;
   auto compressed = CompressedFilterRows(*pred, *t, &stats);
@@ -148,12 +140,12 @@ TEST(CompressedScanTest, EmptyTableYieldsEmptySelection) {
 }
 
 TEST(CompressedScanTest, ShortTailBlockIsCoveredExactly) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false}}));
   for (int i = 0; i < 10; ++i) {  // 4 + 4 + 2: tail block is short
     ASSERT_TRUE(t->AppendRow({Value::Int64(i % 3)}).ok());
   }
+  AttachIndex(t, 4);
   const ScanStats stats = ExpectCompressedMatches(t, "ia <= 2");
   EXPECT_EQ(stats.blocks_total, 3u);
   // Every value satisfies the predicate: whole-block takes, tail included.
@@ -161,7 +153,6 @@ TEST(CompressedScanTest, ShortTailBlockIsCoveredExactly) {
 }
 
 TEST(CompressedScanTest, RunAwareFilteringMatchesRowEvaluation) {
-  BlockRowsGuard guard(8);
   auto t = std::make_shared<Table>(
       Schema({Field{"seg", DataType::kInt64, false},
               Field{"flag", DataType::kBool, true}}));
@@ -176,6 +167,7 @@ TEST(CompressedScanTest, RunAwareFilteringMatchesRowEvaluation) {
                                          : Value::Bool(g % 2 == 0)})
                     .ok());
   }
+  AttachIndex(t, 8);
   const ScanStats stats = ExpectCompressedMatches(t, "seg = 2");
   EXPECT_GT(stats.rows_run_skipped, 0u);
   ExpectCompressedMatches(t, "seg >= 1 AND seg < 3");
@@ -184,7 +176,6 @@ TEST(CompressedScanTest, RunAwareFilteringMatchesRowEvaluation) {
 }
 
 TEST(CompressedScanTest, DeclinesShapesOutsideTheConservativeClass) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false},
               Field{"s", DataType::kString, false}}));
@@ -193,7 +184,7 @@ TEST(CompressedScanTest, DeclinesShapesOutsideTheConservativeClass) {
         t->AppendRow({Value::Int64(i), Value::String(i % 2 ? "a" : "b")})
             .ok());
   }
-  EnsureBlockIndex(t);
+  AttachIndex(t, 4);
   ScanStats stats;
   // Arithmetic over a column, string comparisons and string columns all
   // decline — the decode path keeps its error/evaluation behavior.
@@ -206,7 +197,6 @@ TEST(CompressedScanTest, DeclinesShapesOutsideTheConservativeClass) {
 }
 
 TEST(CompressedScanTest, DeclinesWithoutARegisteredIndex) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false}}));
   for (int i = 0; i < 8; ++i) {
@@ -215,29 +205,71 @@ TEST(CompressedScanTest, DeclinesWithoutARegisteredIndex) {
   ScanStats stats;
   EXPECT_FALSE(
       CompressedFilterRows(*ParsePred("ia > 3"), *t, &stats).has_value());
-  // After registration it engages; after mutation the index is stale and
-  // it declines again until re-registered.
-  EnsureBlockIndex(t);
+  // Once an index is attached it engages. A copy of the table starts
+  // without one. After a mutation the attached index is stale and the
+  // scan declines again until a fresh one is attached.
+  AttachIndex(t, 4);
   EXPECT_TRUE(
       CompressedFilterRows(*ParsePred("ia > 3"), *t, &stats).has_value());
+  const Table copy = *t;
+  EXPECT_EQ(copy.block_index(), nullptr);
+  EXPECT_FALSE(
+      CompressedFilterRows(*ParsePred("ia > 3"), copy, &stats).has_value());
   ASSERT_TRUE(t->AppendRow({Value::Int64(99)}).ok());
+  EXPECT_NE(t->block_index(), nullptr);
+  EXPECT_EQ(CurrentBlockIndex(*t), nullptr);
   EXPECT_FALSE(
       CompressedFilterRows(*ParsePred("ia > 3"), *t, &stats).has_value());
 }
 
-TEST(CompressedScanTest, NullLiteralComparisonSelectsNothing) {
-  BlockRowsGuard guard(4);
+TEST(CompressedScanTest, ExecuteSelectAttachesAndRefreshesTheIndex) {
+  Catalog cat;
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false}}));
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(t->AppendRow({Value::Int64(i)}).ok());
   }
+  cat.RegisterOrReplace("t", t);
+  ASSERT_EQ(t->block_index(), nullptr);
+  ASSERT_TRUE(ExecuteQuery(cat, "SELECT ia FROM t WHERE ia > 3").ok());
+  const std::shared_ptr<const BlockIndex> first = CurrentBlockIndex(*t);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->block_rows, kDefaultBlockRows);
+  // A second scan reuses it; a scan after a mutation replaces it.
+  ASSERT_TRUE(ExecuteQuery(cat, "SELECT ia FROM t WHERE ia > 3").ok());
+  EXPECT_EQ(CurrentBlockIndex(*t), first);
+  ASSERT_TRUE(t->AppendRow({Value::Int64(99)}).ok());
+  auto after = ExecuteQuery(cat, "SELECT ia FROM t WHERE ia > 3");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->num_rows(), 5u);
+  const std::shared_ptr<const BlockIndex> second = CurrentBlockIndex(*t);
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second->num_rows, 9u);
+}
+
+TEST(CompressedScanTest, NullLiteralComparisonSelectsNothing) {
+  auto t = std::make_shared<Table>(
+      Schema({Field{"ia", DataType::kInt64, false}}));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(t->AppendRow({Value::Int64(i)}).ok());
+  }
+  AttachIndex(t, 4);
   const ScanStats stats = ExpectCompressedMatches(t, "ia = NULL");
   // Every block's result set is {NULL}: all pruned.
   EXPECT_EQ(stats.blocks_pruned, stats.blocks_total);
 }
 
 // --- Encoded global aggregation --------------------------------------------
+
+/// Runs `sql` on the decode path: over an unindexed copy of `table`,
+/// through ExecuteSelectOnTable, which (unlike ExecuteSelect) never
+/// attaches an index.
+Result<Table> DecodeQuery(const Table& table, const std::string& sql) {
+  LAWS_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSelect(sql));
+  const Table unindexed = table;
+  return ExecuteSelectOnTable(unindexed, stmt);
+}
 
 std::vector<const Expr*> AggNodes(const SelectStatement& stmt) {
   std::vector<const Expr*> nodes;
@@ -248,7 +280,6 @@ std::vector<const Expr*> AggNodes(const SelectStatement& stmt) {
 }
 
 TEST(CompressedScanTest, EncodedAggregateMatchesRowSweep) {
-  BlockRowsGuard guard(8);
   Catalog cat;
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false},
@@ -260,14 +291,14 @@ TEST(CompressedScanTest, EncodedAggregateMatchesRowSweep) {
                     .ok());
   }
   cat.RegisterOrReplace("t", t);
+  AttachIndex(t, 8);
   const std::string sql =
       "SELECT COUNT(*), COUNT(da), SUM(ia), AVG(da), MIN(da), MAX(ia) "
       "FROM t";
-  SetGlobalScanEngine(ScanEngine::kCompressed);
   auto compressed = ExecuteQuery(cat, sql);
-  SetGlobalScanEngine(ScanEngine::kDecode);
-  auto decode = ExecuteQuery(cat, sql);
-  SetGlobalScanEngine(ScanEngine::kCompressed);
+  auto decode = DecodeQuery(*t, sql);
+  // ExecuteSelect kept the attached index: it is still current.
+  EXPECT_EQ(t->block_index()->block_rows, 8u);
   ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
   ASSERT_TRUE(decode.ok()) << decode.status().ToString();
   ASSERT_EQ(compressed->num_rows(), 1u);
@@ -279,16 +310,15 @@ TEST(CompressedScanTest, EncodedAggregateMatchesRowSweep) {
 }
 
 TEST(CompressedScanTest, EncodedAggregateGuardsAndDeclines) {
-  BlockRowsGuard guard(8);
   auto fractional = MakeDoubleTable(
       {Value::Double(0.5), Value::Double(1.5), Value::Double(2.0)});
   auto nan_holding = MakeDoubleTable(
       {Value::Double(1.0), Value::Double(kNaN), Value::Double(2.0)});
   auto huge = MakeDoubleTable(
       {Value::Double(9.1e15), Value::Double(9.2e15)});  // > 2^53 magnitude
-  EnsureBlockIndex(fractional);
-  EnsureBlockIndex(nan_holding);
-  EnsureBlockIndex(huge);
+  AttachIndex(fractional, 8);
+  AttachIndex(nan_holding, 8);
+  AttachIndex(huge, 8);
 
   auto stmt = ParseSelect("SELECT SUM(da) FROM t");
   ASSERT_TRUE(stmt.ok());
@@ -314,7 +344,6 @@ TEST(CompressedScanTest, EncodedAggregateGuardsAndDeclines) {
 }
 
 TEST(CompressedScanTest, EndToEndMatchesDecodeOnMixedQueries) {
-  BlockRowsGuard guard(8);
   Catalog cat;
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false},
@@ -330,6 +359,7 @@ TEST(CompressedScanTest, EndToEndMatchesDecodeOnMixedQueries) {
             .ok());
   }
   cat.RegisterOrReplace("t", t);
+  AttachIndex(t, 8);
   const std::vector<std::string> queries = {
       "SELECT ia, da FROM t WHERE ia = 2",
       "SELECT ia FROM t WHERE da > 10.0 AND ia <= 2",
@@ -339,11 +369,8 @@ TEST(CompressedScanTest, EndToEndMatchesDecodeOnMixedQueries) {
       "SELECT COUNT(*), SUM(ia), MIN(ia), MAX(ia) FROM t",
   };
   for (const std::string& sql : queries) {
-    SetGlobalScanEngine(ScanEngine::kCompressed);
     auto compressed = ExecuteQuery(cat, sql);
-    SetGlobalScanEngine(ScanEngine::kDecode);
-    auto decode = ExecuteQuery(cat, sql);
-    SetGlobalScanEngine(ScanEngine::kCompressed);
+    auto decode = DecodeQuery(*t, sql);
     ASSERT_TRUE(compressed.ok()) << sql << ": " << compressed.status().ToString();
     ASSERT_TRUE(decode.ok()) << sql << ": " << decode.status().ToString();
     ASSERT_EQ(compressed->num_rows(), decode->num_rows()) << sql;

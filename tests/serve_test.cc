@@ -11,6 +11,8 @@
 #include "common/governor.h"
 #include "common/metrics.h"
 #include "compress/block_store.h"
+#include "query/executor.h"
+#include "query/parser.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "storage/catalog.h"
@@ -45,18 +47,6 @@ bool TablesEqual(const Table& a, const Table& b) {
   }
   return true;
 }
-
-/// Pins the scan block size for a test and restores it afterwards.
-class BlockRowsGuard {
- public:
-  explicit BlockRowsGuard(size_t rows) : prev_(ScanBlockRows()) {
-    SetScanBlockRows(rows);
-  }
-  ~BlockRowsGuard() { SetScanBlockRows(prev_); }
-
- private:
-  size_t prev_;
-};
 
 ServerOptions QuietOptions() {
   ServerOptions options;
@@ -488,103 +478,109 @@ TEST(ServerTest, ConcurrentSessionsMatchSerialReplay) {
             kHotBase + kBatches * kBatch);
 }
 
-// --- block-index cache: eviction + races (run under TSan by
-// tools/check_serving.sh and tools/check_tsan.sh) ------------------------
+// --- block-index ownership: each table version owns its index (run
+// under TSan by tools/check_serving.sh and tools/check_tsan.sh) ----------
 
-TEST(BlockIndexCacheTest, DroppedTablesAreEvictedAndCounted) {
-  BlockRowsGuard guard(32);
-  Counter* evictions =
-      MetricsRegistry::Global().GetCounter("scan.index_evictions");
-  auto keep = std::make_shared<Table>(MakeNumericTable(128));
-  auto dead = std::make_shared<Table>(MakeNumericTable(128));
-  ASSERT_NE(EnsureBlockIndex(keep), nullptr);
-  ASSERT_NE(EnsureBlockIndex(dead), nullptr);
-  const size_t size_before = BlockIndexCacheSize();
-  ASSERT_GE(size_before, 2u);
-  const uint64_t evicted_before = evictions->value();
+/// A query the compressed tier serves on MakeNumericTable: x grows with
+/// the row number, so the zone maps prune every block past the bound.
+constexpr const char* kPrunedQuery = "SELECT g, x FROM t WHERE x < 1000.0";
 
-  dead.reset();  // the owner dies; the cache entry is now expired
-  PurgeExpiredBlockIndexes();
-  EXPECT_EQ(BlockIndexCacheSize(), size_before - 1);
-  EXPECT_GT(evictions->value(), evicted_before);
+TEST(BlockIndexOwnershipTest, ConcurrentFirstScansAttachConsistentIndexes) {
+  Server server(QuietOptions());
+  auto admin = *server.Connect("admin");
+  constexpr size_t kRows = 3 * kDefaultBlockRows + 100;
+  ASSERT_TRUE(admin->CreateTable("t", MakeNumericTable(kRows)).ok());
 
-  // The survivor is still served from cache.
-  EXPECT_NE(FindBlockIndex(*keep), nullptr);
-}
-
-TEST(BlockIndexCacheTest, LookupsEvictExpiredEntriesEagerly) {
-  BlockRowsGuard guard(32);
-  auto dead = std::make_shared<Table>(MakeNumericTable(64));
-  ASSERT_NE(EnsureBlockIndex(dead), nullptr);
-  dead.reset();
-  // Any subsequent lookup purges expired entries as a side effect, so a
-  // long-lived server that dropped a table cannot pin its index.
-  auto live = std::make_shared<Table>(MakeNumericTable(64));
-  ASSERT_NE(EnsureBlockIndex(live), nullptr);
-  EXPECT_EQ(BlockIndexCacheSize(), 1u);
-}
-
-/// The TOCTOU regression: EnsureBlockIndex must read the block-size flag
-/// once — every index it returns has internally consistent geometry even
-/// while another thread flips SetScanBlockRows, and concurrent drops /
-/// purges never leave a dangling entry. Run under TSan for the memory
-/// model half of the claim.
-TEST(BlockIndexCacheTest, ConcurrentEnsureResizeDropPurgeStaysConsistent) {
-  BlockRowsGuard guard(64);
-  auto stable = std::make_shared<Table>(MakeNumericTable(1000));
-  std::atomic<bool> stop{false};
-  std::atomic<bool> violation{false};
-
-  auto check_geometry = [&](const std::shared_ptr<const BlockIndex>& idx) {
-    if (idx == nullptr) return;
-    if (idx->block_rows != 64 && idx->block_rows != 128) {
-      violation.store(true);
-      return;
-    }
-    const size_t expect_blocks =
-        (idx->num_rows + idx->block_rows - 1) / idx->block_rows;
-    if (idx->num_blocks != expect_blocks) violation.store(true);
-  };
-
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<ClientSession>> sessions;
+  for (int i = 0; i < kThreads; ++i) sessions.push_back(*server.Connect());
+  std::vector<Result<Table>> results(kThreads, Table(Schema{}));
+  std::vector<std::shared_ptr<const BlockIndex>> seen(kThreads);
+  std::atomic<int> ready{0};
   std::vector<std::thread> threads;
-  // Builders/lookups on the shared table.
-  for (int i = 0; i < 2; ++i) {
-    threads.emplace_back([&] {
-      while (!stop.load()) {
-        check_geometry(EnsureBlockIndex(stable));
-        check_geometry(FindBlockIndex(*stable));
-      }
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[i] = sessions[i]->ExecuteSql(kPrunedQuery);
+      const TablePtr table = *sessions[i]->PinSnapshot()->tables.Get("t");
+      seen[i] = CurrentBlockIndex(*table);
     });
   }
-  // The block-size flipper (the racing SetScanBlockRows of the issue).
-  threads.emplace_back([&] {
-    size_t rows = 64;
-    while (!stop.load()) {
-      rows = (rows == 64) ? 128 : 64;
-      SetScanBlockRows(rows);
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  });
-  // Table churn: create, index, destroy — racing the purger below.
-  threads.emplace_back([&] {
-    while (!stop.load()) {
-      auto t = std::make_shared<Table>(MakeNumericTable(300));
-      check_geometry(EnsureBlockIndex(t));
-      t.reset();
-    }
-  });
-  threads.emplace_back([&] {
-    while (!stop.load()) {
-      PurgeExpiredBlockIndexes();
-      (void)BlockIndexCacheSize();
-    }
-  });
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  stop.store(true);
   for (auto& t : threads) t.join();
-  EXPECT_FALSE(violation.load())
-      << "an index with torn geometry escaped EnsureBlockIndex";
+
+  const Table unindexed = **admin->PinSnapshot()->tables.Get("t");
+  const Result<Table> decoded =
+      ExecuteSelectOnTable(unindexed, *ParseSelect(kPrunedQuery));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->num_rows(), 2000u);
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_TRUE(TablesEqual(*results[i], *decoded)) << "thread " << i;
+    ASSERT_NE(seen[i], nullptr) << "thread " << i;
+    EXPECT_EQ(seen[i]->block_rows, kDefaultBlockRows);
+    EXPECT_EQ(seen[i]->num_rows, kRows);
+    EXPECT_EQ(seen[i]->num_blocks, 4u);
+    ASSERT_EQ(seen[i]->columns.size(), 2u);
+    EXPECT_EQ(seen[i]->columns[1].zones.size(), 4u);
+  }
+}
+
+TEST(BlockIndexOwnershipTest, IndexIsFreedWithTheLastTableVersionHolder) {
+  Server server(QuietOptions());
+  auto session = *server.Connect();
+  ASSERT_TRUE(session->CreateTable("t", MakeNumericTable(5000)).ok());
+  ASSERT_TRUE(session->ExecuteSql(kPrunedQuery).ok());
+
+  SnapshotPtr pinned = session->PinSnapshot();
+  TablePtr table = *pinned->tables.Get("t");
+  const std::weak_ptr<const BlockIndex> index = CurrentBlockIndex(*table);
+  ASSERT_FALSE(index.expired());
+
+  // The commit replaces the table version; the old one lives on in the
+  // pinned snapshot and in `table`, and so does its index.
+  ASSERT_TRUE(session->Ingest("t", MakeNumericTable(8)).ok());
+  EXPECT_FALSE(index.expired());
+  table.reset();
+  EXPECT_FALSE(index.expired()) << "the pinned snapshot still holds it";
+  pinned.reset();
+  EXPECT_TRUE(index.expired())
+      << "the index outlived every holder of its table version";
+}
+
+TEST(BlockIndexOwnershipTest, CommitLeavesNewVersionUnindexedAndOldIntact) {
+  Server server(QuietOptions());
+  auto session = *server.Connect();
+  ASSERT_TRUE(session->CreateTable("t", MakeNumericTable(5000)).ok());
+  ASSERT_TRUE(session->ExecuteSql(kPrunedQuery).ok());
+  SnapshotPtr before = session->PinSnapshot();
+  const TablePtr old_table = *before->tables.Get("t");
+  const std::shared_ptr<const BlockIndex> old_index =
+      CurrentBlockIndex(*old_table);
+  ASSERT_NE(old_index, nullptr);
+
+  ASSERT_TRUE(session->Ingest("t", MakeNumericTable(8)).ok());
+  const TablePtr new_table = *session->PinSnapshot()->tables.Get("t");
+  EXPECT_EQ(new_table->block_index(), nullptr);
+
+  Counter* builds = MetricsRegistry::Global().GetCounter("scan.index_builds");
+  const uint64_t builds_before = builds->value();
+  ASSERT_TRUE(session->ExecuteSql(kPrunedQuery).ok());
+  EXPECT_EQ(builds->value(), builds_before + 1);
+  ASSERT_TRUE(session->ExecuteSql(kPrunedQuery).ok());
+  EXPECT_EQ(builds->value(), builds_before + 1) << "the index was rebuilt";
+  const std::shared_ptr<const BlockIndex> new_index =
+      CurrentBlockIndex(*new_table);
+  ASSERT_NE(new_index, nullptr);
+  EXPECT_EQ(new_index->num_rows, 5008u);
+
+  // The pre-commit snapshot keeps scanning its own version with its own
+  // index: no rebuild, same rows as before the commit.
+  const Result<Table> old_read = ExecuteQuery(before->tables, kPrunedQuery);
+  ASSERT_TRUE(old_read.ok()) << old_read.status().ToString();
+  EXPECT_EQ(old_read->num_rows(), 2000u);
+  EXPECT_EQ(builds->value(), builds_before + 1);
+  EXPECT_EQ(old_table->block_index(), old_index);
 }
 
 }  // namespace

@@ -4,21 +4,17 @@
 # ThreadPool subsystem or the parallel fitting/compression/generation
 # paths fails this script.
 #
-# Expression-engine state under test here: the global engine toggle is an
-# atomic, per-thread VM scratch is thread_local, and the expr.* metrics
-# counters are the registry's atomics — differential_test flips the
-# toggle while the pool runs at LAWS_THREADS>1, so a race in any of them
-# surfaces in this gate. Compressed-scan state is exercised the same way:
-# the scan-engine toggle and block-rows knob are atomics, the scan.*
-# counters are registry atomics, and the shared block-index cache is
-# mutex-guarded — differential_test flips engines and block sizes while
-# registering indexes, so a race in the cache or counters surfaces here.
+# Expression and scan state under test here: per-thread VM scratch is
+# thread_local, the expr.* and scan.* metrics counters are the registry's
+# atomics, and each table's block-index slot is mutex-guarded —
+# differential_test runs the decode and compressed legs while the pool
+# runs at LAWS_THREADS>1, so a race in any of them surfaces in this gate.
 #
 # The serving layer rides in serve_test: concurrent sessions pin
 # snapshots while writers copy-and-swap commits, the admission gate's
 # condvar hands slots across threads, session interrupts land from
-# foreign threads, and the block-index cache races builds, lookups,
-# SetScanBlockRows flips and purges — all instrumented here.
+# foreign threads, and concurrent first scans of one published table
+# race to attach its block index — all instrumented here.
 #
 # Usage: tools/check_tsan.sh [ctest-args...]
 #   LAWS_TSAN_BUILD_DIR  override the build tree (default: build-tsan)
