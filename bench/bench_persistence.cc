@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -68,10 +69,15 @@ int main(int argc, char** argv) {
     image = Unwrap(SaveDatabaseToBytes(data, models), "save");
     save_s = std::min(save_s, t.ElapsedSeconds());
 
+    // The raw CRC pass over the image body; checking it against the
+    // stored trailer keeps it live.
     t.Restart();
-    static volatile uint32_t crc_sink;  // keeps the CRC pass live
-    crc_sink = Crc32c(image.data(), image.size());
+    const uint32_t crc = Crc32c(image.data(), image.size() - 4);
     crc_s = std::min(crc_s, t.ElapsedSeconds());
+    uint32_t trailer;
+    std::memcpy(&trailer, image.data() + image.size() - 4, sizeof(trailer));
+    CheckOk(crc == trailer ? Status::OK() : Status::Internal("trailer crc"),
+            "raw CRC pass");
 
     t.Restart();
     auto info = Unwrap(InspectImage(image), "inspect");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "core/session.h"
 #include "model/model.h"
@@ -14,15 +13,14 @@ Result<GroupAnomalyReport> ScoreGroups(const CapturedModel& model,
   if (!model.grouped) {
     return Status::InvalidArgument("group screening needs a grouped model");
   }
-  const Table& pt = model.parameter_table;
-  LAWS_ASSIGN_OR_RETURN(size_t rse_idx, pt.schema().FieldIndex("residual_se"));
-  LAWS_ASSIGN_OR_RETURN(size_t r2_idx, pt.schema().FieldIndex("r_squared"));
+  LAWS_ASSIGN_OR_RETURN(ModelPtr fn, ModelFromSource(model.model_source));
+  LAWS_ASSIGN_OR_RETURN(ParameterView params,
+                        ParametersOf(model, fn->num_parameters()));
 
-  std::vector<double> rses, r2s;
-  rses.reserve(pt.num_rows());
-  for (size_t r = 0; r < pt.num_rows(); ++r) {
-    rses.push_back(pt.column(rse_idx).DoubleAt(r));
-    r2s.push_back(pt.column(r2_idx).DoubleAt(r));
+  std::vector<double> rses(params.size()), r2s(params.size());
+  for (size_t r = 0; r < params.size(); ++r) {
+    rses[r] = params.residual_se(r);
+    r2s[r] = params.r_squared(r);
   }
   GroupAnomalyReport report;
   report.median_residual_se = MedianOf(rses);
@@ -30,10 +28,10 @@ Result<GroupAnomalyReport> ScoreGroups(const CapturedModel& model,
   const double rse_cut =
       options.rse_factor * std::max(report.median_residual_se, 1e-300);
 
-  report.ranked.reserve(pt.num_rows());
-  for (size_t r = 0; r < pt.num_rows(); ++r) {
+  report.ranked.reserve(params.size());
+  for (size_t r = 0; r < params.size(); ++r) {
     GroupAnomalyScore s;
-    s.group_key = pt.column(0).Int64At(r);
+    s.group_key = params.key(r);
     s.residual_se = rses[r];
     s.r_squared = r2s[r];
     const double rse_ratio =
@@ -58,23 +56,8 @@ Result<std::vector<TupleOutlier>> DetectOutlierTuples(
     return Status::InvalidArgument("tuple screening needs a grouped model");
   }
   LAWS_ASSIGN_OR_RETURN(ModelPtr fn, ModelFromSource(model.model_source));
-  const Table& pt = model.parameter_table;
-  const size_t p = fn->num_parameters();
-  LAWS_ASSIGN_OR_RETURN(size_t rse_idx, pt.schema().FieldIndex("residual_se"));
-
-  struct GroupInfo {
-    Vector params;
-    double rse;
-  };
-  std::unordered_map<int64_t, GroupInfo> lookup;
-  lookup.reserve(pt.num_rows());
-  for (size_t r = 0; r < pt.num_rows(); ++r) {
-    GroupInfo info;
-    info.params.resize(p);
-    for (size_t j = 0; j < p; ++j) info.params[j] = pt.column(j + 1).DoubleAt(r);
-    info.rse = pt.column(rse_idx).DoubleAt(r);
-    lookup.emplace(pt.column(0).Int64At(r), std::move(info));
-  }
+  LAWS_ASSIGN_OR_RETURN(ParameterView params,
+                        ParametersOf(model, fn->num_parameters()));
 
   LAWS_ASSIGN_OR_RETURN(const Column* group,
                         table.ColumnByName(model.group_column));
@@ -87,11 +70,13 @@ Result<std::vector<TupleOutlier>> DetectOutlierTuples(
                         table.ColumnByName(model.output_column));
 
   std::vector<TupleOutlier> outliers;
-  Vector x(inputs.size());
+  Vector x(inputs.size()), beta;
   for (size_t i = 0; i < table.num_rows(); ++i) {
     if (group->IsNull(i) || output->IsNull(i)) continue;
-    const auto it = lookup.find(group->Int64At(i));
-    if (it == lookup.end()) continue;
+    const int64_t key = group->Int64At(i);
+    const size_t g = params.Find(key);
+    if (g == params.size()) continue;
+    params.Params(g, &beta);
     bool ok = true;
     for (size_t c = 0; c < inputs.size(); ++c) {
       if (inputs[c]->IsNull(i)) {
@@ -103,12 +88,12 @@ Result<std::vector<TupleOutlier>> DetectOutlierTuples(
       x[c] = *v;
     }
     if (!ok) continue;
-    const double predicted = fn->Evaluate(x, it->second.params);
+    const double predicted = fn->Evaluate(x, beta);
     LAWS_ASSIGN_OR_RETURN(double observed, output->NumericAt(i));
-    const double denom = std::max(it->second.rse, 1e-300);
+    const double denom = std::max(params.residual_se(g), 1e-300);
     const double z = (observed - predicted) / denom;
     if (std::fabs(z) >= z_threshold) {
-      outliers.push_back(TupleOutlier{i, it->first, observed, predicted, z});
+      outliers.push_back(TupleOutlier{i, key, observed, predicted, z});
     }
   }
   std::sort(outliers.begin(), outliers.end(),

@@ -8,7 +8,6 @@
 #include "query/bytecode.h"
 #include "query/executor.h"
 #include "query/parser.h"
-#include "stats/distributions.h"
 #include "stats/goodness_of_fit.h"
 
 namespace laws {
@@ -190,61 +189,12 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
   };
 
   // --- Group axis ---------------------------------------------------------
-  // Grouped models enumerate group keys from the parameter table (already
-  // captured — zero IO); each key carries its parameter vector and RSE.
-  struct GroupEntry {
-    int64_t key;
-    Vector params;
-    double half_width;  // 95% prediction-interval half-width
-  };
-  // t-based half-width for a group with n observations and p parameters;
-  // degrades to the raw RSE when the t machinery does not apply. The
-  // t-quantile is memoized by degrees of freedom — groups share a handful
-  // of df values, and the quantile inversion is far too slow to repeat
-  // tens of thousands of times.
+  // Groups come from the captured parameter table (zero IO); a pinned or
+  // ranged group column is a binary search. Ungrouped models are group 0.
   const size_t p = fn->num_parameters();
-  std::map<size_t, double> t_cache;
-  auto pi_half_width = [&](double rse, size_t n_obs) {
-    if (n_obs <= p) return rse;
-    const size_t df = n_obs - p;
-    // The t distribution is within half a percent of normal by df ~ 200;
-    // skip the quantile inversion there.
-    if (df >= 200) return 1.96 * rse;
-    auto it = t_cache.find(df);
-    if (it == t_cache.end()) {
-      it = t_cache
-               .emplace(df, StudentTQuantile(0.975,
-                                             static_cast<double>(df)))
-               .first;
-    }
-    return it->second * rse;
-  };
-  std::vector<GroupEntry> groups;
-  if (model.grouped) {
-    const Table& pt = model.parameter_table;
-    LAWS_ASSIGN_OR_RETURN(size_t rse_idx,
-                          pt.schema().FieldIndex("residual_se"));
-    LAWS_ASSIGN_OR_RETURN(size_t n_idx, pt.schema().FieldIndex("n_obs"));
-    const auto [glo, ghi] = range_for(model.group_column);
-    for (size_t r = 0; r < pt.num_rows(); ++r) {
-      const int64_t key = pt.column(0).Int64At(r);
-      const auto dkey = static_cast<double>(key);
-      if (dkey < glo || dkey > ghi) continue;
-      GroupEntry e;
-      e.key = key;
-      e.params.resize(p);
-      for (size_t j = 0; j < p; ++j) e.params[j] = pt.column(j + 1).DoubleAt(r);
-      e.half_width =
-          pi_half_width(pt.column(rse_idx).DoubleAt(r),
-                        static_cast<size_t>(pt.column(n_idx).Int64At(r)));
-      groups.push_back(std::move(e));
-    }
-  } else {
-    groups.push_back(
-        GroupEntry{0, model.parameters,
-                   pi_half_width(model.quality.residual_standard_error,
-                                 model.quality.n_observations)});
-  }
+  LAWS_ASSIGN_OR_RETURN(ParameterView params, ParametersOf(model, p));
+  const auto [glo, ghi] = range_for(model.group_column);
+  const auto [first_group, last_group] = params.KeyRange(glo, ghi);
 
   // --- Input axes ----------------------------------------------------------
   // Each input dimension needs either an enumerable domain or an equality
@@ -270,7 +220,7 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
   }
 
   // Enumeration size check.
-  size_t total = groups.size();
+  size_t total = last_group - first_group;
   for (const auto& vals : input_values) {
     if (vals.empty()) total = 0;
     if (total > 0 && vals.size() > max_tuples_ / total) {
@@ -299,8 +249,11 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
   size_t touched_groups = 0;
 
   std::vector<double> x(model.input_columns.size());
+  Vector beta;
   std::vector<Value> row;
-  for (const GroupEntry& g : groups) {
+  for (size_t g = first_group; g < last_group; ++g) {
+    const int64_t key = params.key(g);
+    params.Params(g, &beta);
     bool group_touched = false;
     // Odometer over input dimensions.
     std::vector<size_t> idx(input_values.size(), 0);
@@ -310,10 +263,10 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
     }
     while (more) {
       for (size_t d = 0; d < idx.size(); ++d) x[d] = input_values[d][idx[d]];
-      if (legal == nullptr || legal->MayContain(g.key, x)) {
-        const double y = fn->Evaluate(x, g.params);
+      if (legal == nullptr || legal->MayContain(key, x)) {
+        const double y = fn->Evaluate(x, beta);
         row.clear();
-        if (model.grouped) row.push_back(Value::Int64(g.key));
+        if (model.grouped) row.push_back(Value::Int64(key));
         for (double v : x) row.push_back(Value::Double(v));
         row.push_back(Value::Double(y));
         LAWS_RETURN_IF_ERROR(out.AppendRow(row));
@@ -329,9 +282,11 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
       if (d == idx.size()) more = false;
     }
     if (group_touched) {
+      const double half_width =
+          PredictionHalfWidth(params.residual_se(g), params.n_obs(g), p);
       ++touched_groups;
-      rse_sum += g.half_width;
-      rse_max = std::max(rse_max, g.half_width);
+      rse_sum += half_width;
+      rse_max = std::max(rse_max, half_width);
     }
   }
 

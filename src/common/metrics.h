@@ -22,9 +22,8 @@ namespace laws {
 /// Cost model: counters are always on (one relaxed fetch_add; hot loops
 /// batch into locals and add once per phase). Histograms take a per-
 /// histogram mutex and are recorded only on low-frequency paths (per
-/// query, per save/load, per ParallelFor) or inside trace-gated spans —
-/// see trace.h for the LAWS_TRACE gate that keeps per-stage timing at
-/// near-zero cost when disabled.
+/// query, per save/load, per ParallelFor). Per-stage timing is not a
+/// metric: it lives in per-query trace spans (trace.h).
 ///
 /// Lookup discipline: GetCounter/GetHistogram return stable pointers
 /// (entries are never erased; ResetAll zeroes values in place), so hot

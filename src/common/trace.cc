@@ -1,29 +1,13 @@
 #include "common/trace.h"
 
-#include <atomic>
 #include <cstdio>
-
-#include "common/env.h"
-#include "common/metrics.h"
 
 namespace laws {
 namespace {
 
-bool TraceEnabledFromEnv() { return EnvFlag("LAWS_TRACE", false); }
-
-std::atomic<bool> g_trace_enabled{TraceEnabledFromEnv()};
-
 thread_local TraceSink* t_current_sink = nullptr;
 
 }  // namespace
-
-bool TraceEnabled() {
-  return g_trace_enabled.load(std::memory_order_relaxed);
-}
-
-void SetTraceEnabled(bool enabled) {
-  g_trace_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 TraceSink::TraceSink() : prev_(t_current_sink) { t_current_sink = this; }
 
@@ -55,47 +39,31 @@ std::string TraceSink::Render() const {
   return out;
 }
 
-ScopedSpan::ScopedSpan(const char* name) : name_(name) {
-  sink_ = t_current_sink;
-  active_ = sink_ != nullptr || TraceEnabled();
-  if (!active_) return;
-  if (sink_ != nullptr) {
-    slot_ = sink_->spans_.size();
-    SpanRecord rec;
-    rec.name = name_;
-    rec.depth = sink_->depth_;
-    rec.sequence = slot_;
-    sink_->spans_.push_back(std::move(rec));
-    ++sink_->depth_;
-  }
+ScopedSpan::ScopedSpan(const char* name) : sink_(t_current_sink) {
+  if (sink_ == nullptr) return;
+  slot_ = sink_->spans_.size();
+  SpanRecord rec;
+  rec.name = name;
+  rec.depth = sink_->depth_;
+  rec.sequence = slot_;
+  sink_->spans_.push_back(std::move(rec));
+  ++sink_->depth_;
   start_ = Clock::now();
 }
 
 ScopedSpan::~ScopedSpan() { End(); }
 
 void ScopedSpan::End() {
-  if (!active_) return;
-  active_ = false;
-  const double micros =
+  if (sink_ == nullptr) return;
+  sink_->spans_[slot_].micros =
       std::chrono::duration<double, std::micro>(Clock::now() - start_)
           .count();
-  if (sink_ != nullptr) {
-    sink_->spans_[slot_].micros = micros;
-    --sink_->depth_;
-  }
-  if (TraceEnabled()) {
-    // One histogram per span name; the static-per-call-site cache pattern
-    // does not work here (name varies), but span ends are per-stage, not
-    // per-row, so a registry lookup is acceptable.
-    std::string metric = "span.";
-    metric += name_;
-    metric += ".micros";
-    MetricsRegistry::Global().GetHistogram(metric)->Record(micros);
-  }
+  --sink_->depth_;
+  sink_ = nullptr;
 }
 
 void ScopedSpan::SetRows(uint64_t rows_in, uint64_t rows_out) {
-  if (!active_ || sink_ == nullptr) return;
+  if (sink_ == nullptr) return;
   SpanRecord& rec = sink_->spans_[slot_];
   rec.rows_in = rows_in;
   rec.rows_out = rows_out;
@@ -103,7 +71,7 @@ void ScopedSpan::SetRows(uint64_t rows_in, uint64_t rows_out) {
 }
 
 void ScopedSpan::SetDetail(std::string detail) {
-  if (!active_ || sink_ == nullptr) return;
+  if (sink_ == nullptr) return;
   sink_->spans_[slot_].detail = std::move(detail);
 }
 

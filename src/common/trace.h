@@ -10,21 +10,13 @@ namespace laws {
 
 /// Scoped-span tracing: RAII timers over the engine's pipeline stages
 /// (executor operators, hybrid AQP arbitration, grouped fitting phases,
-/// persistence). Spans are recorded into two destinations:
+/// persistence). A span is recorded only under a thread-local TraceSink,
+/// installed per operation by EXPLAIN ANALYZE: spans append
+/// name/detail/rows/time records that render as the per-stage plan tree.
 ///
-///  1. The process-wide trace gate (LAWS_TRACE=1 or SetTraceEnabled):
-///     every finished span feeds a `span.<name>.micros` histogram in
-///     MetricsRegistry::Global().
-///  2. A thread-local TraceSink, installed per operation by EXPLAIN
-///     ANALYZE: spans append name/detail/rows/time records that render as
-///     the per-stage plan tree.
-///
-/// When neither is active a ScopedSpan costs one relaxed atomic load and
-/// one thread-local read — no clock call, no allocation — which is what
-/// keeps instrumentation overhead on the hot pipeline under the 2%
-/// budget (DESIGN.md §10).
-bool TraceEnabled();
-void SetTraceEnabled(bool enabled);
+/// Without a sink a ScopedSpan costs one thread-local read — no clock
+/// call, no allocation — which is what keeps instrumentation overhead on
+/// the hot pipeline under the 2% budget (DESIGN.md §10).
 
 /// One finished span. `name` must be a string literal (stored as a
 /// pointer); `detail` is optional free text (expression, decision).
@@ -70,8 +62,8 @@ class TraceSink {
 };
 
 /// RAII span. Opens at construction, records at destruction. All methods
-/// are no-ops when the span is inactive (tracing off and no sink), so
-/// call sites need no branching.
+/// are no-ops when the span is inactive (no sink), so call sites need no
+/// branching.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name);
@@ -88,13 +80,11 @@ class ScopedSpan {
   /// after End() is a no-op, as are further SetRows/SetDetail calls.
   void End();
 
-  bool active() const { return active_; }
+  bool active() const { return sink_ != nullptr; }
 
  private:
   using Clock = std::chrono::steady_clock;
-  const char* name_;
-  bool active_;
-  TraceSink* sink_ = nullptr;  // sink at entry (stable across the scope)
+  TraceSink* sink_ = nullptr;  // sink at entry; nullptr once ended
   size_t slot_ = 0;            // index into sink_->spans_
   Clock::time_point start_{};
 };

@@ -15,29 +15,17 @@ Result<ModelDiagnostics> DiagnoseModel(const Table& table,
     return Status::Internal("captured model arity mismatch");
   }
 
-  // Resolve the parameter vector: the model's own (ungrouped) or the
-  // requested group's row of the parameter table.
-  Vector params;
-  if (!model.grouped) {
-    params = model.parameters;
-  } else {
-    const Table& pt = model.parameter_table;
-    bool found = false;
-    for (size_t r = 0; r < pt.num_rows(); ++r) {
-      if (pt.column(0).Int64At(r) == group_key) {
-        params.resize(fn->num_parameters());
-        for (size_t j = 0; j < params.size(); ++j) {
-          params[j] = pt.column(j + 1).DoubleAt(r);
-        }
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::NotFound("group " + std::to_string(group_key) +
-                              " has no captured parameters");
-    }
+  // Resolve the parameter vector: the requested group's, or the one
+  // group of an ungrouped model (whatever key was passed).
+  LAWS_ASSIGN_OR_RETURN(ParameterView view,
+                        ParametersOf(model, fn->num_parameters()));
+  const size_t row = model.grouped ? view.Find(group_key) : 0;
+  if (row == view.size()) {
+    return Status::NotFound("group " + std::to_string(group_key) +
+                            " has no captured parameters");
   }
+  Vector params;
+  view.Params(row, &params);
 
   const Column* group_col = nullptr;
   if (model.grouped) {

@@ -15,6 +15,14 @@ size_t CapturedModel::StorageBytes() const {
   return bytes;
 }
 
+Result<ParameterView> ParametersOf(const CapturedModel& model,
+                                   size_t num_parameters) {
+  return model.grouped
+             ? ParameterView::Of(model.parameter_table, num_parameters)
+             : ParameterView::Single(model.parameters, model.quality,
+                                     num_parameters);
+}
+
 double CapturedModel::ArbitrationQuality() const {
   return grouped ? median_r_squared : quality.adjusted_r_squared;
 }

@@ -63,6 +63,11 @@ struct CapturedModel {
   std::string Summary() const;
 };
 
+/// The parameter view of a captured `num_parameters`-parameter model: its
+/// parameter table when grouped, else its parameter vector as group 0.
+Result<ParameterView> ParametersOf(const CapturedModel& model,
+                                   size_t num_parameters);
+
 /// The model catalog: the database-side registry of harvested models. The
 /// paper's lifecycle challenges land here — staleness on data change,
 /// arbitration among multiple/overlapping models, partial coverage.

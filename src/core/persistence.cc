@@ -16,6 +16,7 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "compress/column_compressor.h"
+#include "model/model.h"
 #include "storage/serialize.h"
 
 namespace laws {
@@ -432,6 +433,17 @@ Result<CapturedModel> DeserializeCapturedModel(ByteReader* in) {
   LAWS_ASSIGN_OR_RETURN(m.fitted_data_version, in->GetU64());
   LAWS_ASSIGN_OR_RETURN(uint64_t rows, in->GetVarint());
   m.rows_fitted = rows;
+  // Parameter readers trust the layout ParameterView checks and the key
+  // order its binary searches need; a model breaking either is not served.
+  Status params_ok = [&]() -> Status {
+    LAWS_ASSIGN_OR_RETURN(ModelPtr fn, ModelFromSource(m.model_source));
+    LAWS_ASSIGN_OR_RETURN(ParameterView view,
+                          ParametersOf(m, fn->num_parameters()));
+    return view.CheckKeysAscending();
+  }();
+  if (!params_ok.ok()) {
+    return Status::ParseError("model parameters: " + params_ok.message());
+  }
   return m;
 }
 

@@ -11,7 +11,7 @@
 #include "model/fit.h"
 #include "model/model.h"
 #include "stats/diagnostics.h"
-#include "stats/distributions.h"
+#include "stats/goodness_of_fit.h"
 #include "storage/table.h"
 
 namespace laws {
@@ -112,17 +112,6 @@ std::vector<std::string> ReferencedColumnsOf(const SelectStatement& stmt) {
 std::string CandidateKey(const std::string& table, const std::string& x,
                          const std::string& y, const std::string& source) {
   return table + "|" + x + "|" + y + "|" + source;
-}
-
-/// 95% prediction-interval half-width from a fit quality — the same
-/// formula the model AQP path serves as its error bound, so "refine only
-/// if tighter" compares exactly what users see.
-double ServedHalfWidth(const FitQuality& q) {
-  const double rse = q.residual_standard_error;
-  if (q.n_observations <= q.n_parameters) return rse;
-  const size_t df = q.n_observations - q.n_parameters;
-  if (df >= 200) return 1.96 * rse;
-  return StudentTQuantile(0.975, static_cast<double>(df)) * rse;
 }
 
 /// Gathers the usable (x, y) observations a candidate accumulator is
@@ -500,8 +489,14 @@ LearnTickReport Learner::Apply(const Catalog& data, ModelCatalog* models) {
       if (!existing.ok()) {
         cand.model_id = 0;  // evicted or dropped; back to candidacy
       } else {
-        const double old_hw = ServedHalfWidth((*existing)->quality);
-        const double new_hw = ServedHalfWidth(fit->quality);
+        const FitQuality& old_q = (*existing)->quality;
+        const FitQuality& new_q = fit->quality;
+        const double old_hw = PredictionHalfWidth(
+            old_q.residual_standard_error, old_q.n_observations,
+            old_q.n_parameters);
+        const double new_hw = PredictionHalfWidth(
+            new_q.residual_standard_error, new_q.n_observations,
+            new_q.n_parameters);
         if (new_hw <= old_hw &&
             fit->quality.n_observations >= (*existing)->quality.n_observations) {
           CapturedModel updated = **existing;  // metadata carries over

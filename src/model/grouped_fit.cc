@@ -1,6 +1,7 @@
 #include "model/grouped_fit.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/governor.h"
@@ -57,6 +58,9 @@ Status GatherObservations(const std::vector<const Column*>& input_cols,
   return output_col.GatherNumeric(rows, n, outputs->data());
 }
 
+/// The key of the one group an ungrouped fit is viewed as.
+constexpr int64_t kSingleGroupKey = 0;
+
 }  // namespace
 
 Result<GroupedFitOutput> FitGrouped(const Model& model, const Table& table,
@@ -87,18 +91,18 @@ Result<GroupedFitOutput> FitGrouped(const Model& model, const Table& table,
   }
 
   ScopedSpan fit_span("FitGrouped");
-  // Group by sorting a (key, row) index instead of hashing rows into
-  // per-key vectors: one allocation, cache-friendly, and the sort on
-  // (key, row) pairs both orders groups by key (the output contract) and
-  // keeps rows within a group in first-seen order.
+  // Group by stably sorting the usable rows' indices on their keys instead
+  // of hashing rows into per-key vectors: one allocation, groups come out
+  // ordered by key (the output contract), and rows within a group keep
+  // their first-seen order. The index holds 4 bytes a row (plus the
+  // sort's buffer of at most as many), not a copy of every row's key.
   ScopedSpan index_span("GroupIndex");
   const size_t n = table.num_rows();
   ScopedCharge charge;
-  LAWS_RETURN_IF_ERROR(charge.Acquire(
-      n * (sizeof(std::pair<int64_t, uint32_t>) + sizeof(uint32_t)),
-      "grouped fit index"));
-  std::vector<std::pair<int64_t, uint32_t>> keyed;
-  keyed.reserve(n);
+  LAWS_RETURN_IF_ERROR(
+      charge.Acquire(2 * n * sizeof(uint32_t), "grouped fit index"));
+  std::vector<uint32_t> row_index;
+  row_index.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     if (i % 4096 == 0) LAWS_GOVERNOR_POLL();
     if (group_col->IsNull(i) || output_col->IsNull(i)) continue;
@@ -110,22 +114,22 @@ Result<GroupedFitOutput> FitGrouped(const Model& model, const Table& table,
       }
     }
     if (!usable) continue;
-    keyed.emplace_back(group_col->Int64At(i), static_cast<uint32_t>(i));
+    row_index.push_back(static_cast<uint32_t>(i));
   }
-  std::sort(keyed.begin(), keyed.end());
+  const std::vector<int64_t>& keys = group_col->int64_data();
+  std::stable_sort(
+      row_index.begin(), row_index.end(),
+      [&keys](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
 
-  // Row indices in group-sorted order, plus one slice per group.
-  std::vector<uint32_t> row_index(keyed.size());
+  // One slice per group of the sorted index.
   std::vector<GroupSlice> groups;
-  for (size_t i = 0; i < keyed.size(); ++i) {
-    row_index[i] = keyed[i].second;
-    if (i == 0 || keyed[i].first != keyed[i - 1].first) {
-      groups.push_back(GroupSlice{keyed[i].first, i, 0});
+  for (size_t i = 0; i < row_index.size(); ++i) {
+    const int64_t key = keys[row_index[i]];
+    if (groups.empty() || groups.back().key != key) {
+      groups.push_back(GroupSlice{key, i, 0});
     }
     ++groups.back().length;
   }
-  keyed.clear();
-  keyed.shrink_to_fit();
   index_span.SetRows(n, groups.size());
   index_span.End();
 
@@ -315,6 +319,91 @@ Result<Table> GroupedFitToTable(const Model& model,
     LAWS_RETURN_IF_ERROR(table.AppendRow(row));
   }
   return table;
+}
+
+Result<ParameterView> ParameterView::Of(const Table& table,
+                                        size_t num_parameters) {
+  const size_t p = num_parameters;
+  const Schema& schema = table.schema();
+  bool ok = table.num_columns() == p + 4 &&
+            schema.field(p + 1).name == "residual_se" &&
+            schema.field(p + 2).name == "r_squared" &&
+            schema.field(p + 3).name == "n_obs";
+  for (size_t c = 0; ok && c < p + 4; ++c) {
+    const bool int64 = c == 0 || c == p + 3;
+    ok = schema.field(c).type ==
+             (int64 ? DataType::kInt64 : DataType::kDouble) &&
+         table.column(c).null_count() == 0;
+  }
+  if (!ok) {
+    return Status::InvalidArgument("not the parameter table of a " +
+                                   std::to_string(p) + "-parameter model");
+  }
+  ParameterView view;
+  view.size_ = table.num_rows();
+  view.keys_ = table.column(0).int64_data().data();
+  for (size_t j = 0; j < p; ++j) {
+    view.params_.push_back(table.column(j + 1).double_data().data());
+  }
+  view.rse_ = table.column(p + 1).double_data().data();
+  view.r2_ = table.column(p + 2).double_data().data();
+  view.n_obs_ = table.column(p + 3).int64_data().data();
+  return view;
+}
+
+Result<ParameterView> ParameterView::Single(const Vector& parameters,
+                                            const FitQuality& quality,
+                                            size_t num_parameters) {
+  if (parameters.size() != num_parameters) {
+    return Status::InvalidArgument(
+        "expected " + std::to_string(num_parameters) + " parameters, got " +
+        std::to_string(parameters.size()));
+  }
+  ParameterView view;
+  view.size_ = 1;
+  view.keys_ = &kSingleGroupKey;
+  for (const double& v : parameters) view.params_.push_back(&v);
+  view.rse_ = &quality.residual_standard_error;
+  view.r2_ = &quality.r_squared;
+  view.single_n_obs_ = quality.n_observations;
+  return view;
+}
+
+void ParameterView::Params(size_t i, Vector* out) const {
+  out->resize(params_.size());
+  for (size_t j = 0; j < params_.size(); ++j) (*out)[j] = params_[j][i];
+}
+
+size_t ParameterView::Find(int64_t key) const {
+  const int64_t* it = std::lower_bound(keys_, keys_ + size_, key);
+  const auto i = static_cast<size_t>(it - keys_);
+  return i < size_ && *it == key ? i : size_;
+}
+
+std::pair<size_t, size_t> ParameterView::KeyRange(double lo,
+                                                  double hi) const {
+  // The key -> double conversion is monotone, so the matching rows form
+  // one run of the sorted keys even where it rounds.
+  const int64_t* first =
+      std::partition_point(keys_, keys_ + size_, [lo](int64_t k) {
+        return static_cast<double>(k) < lo;
+      });
+  const int64_t* last =
+      std::partition_point(first, keys_ + size_, [hi](int64_t k) {
+        return static_cast<double>(k) <= hi;
+      });
+  return {static_cast<size_t>(first - keys_),
+          static_cast<size_t>(last - keys_)};
+}
+
+Status ParameterView::CheckKeysAscending() const {
+  for (size_t i = 1; i < size_; ++i) {
+    if (keys_[i] <= keys_[i - 1]) {
+      return Status::InvalidArgument("keys do not ascend at row " +
+                                     std::to_string(i));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace laws

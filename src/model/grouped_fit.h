@@ -2,6 +2,7 @@
 #define LAWSDB_MODEL_GROUPED_FIT_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -48,10 +49,56 @@ Result<GroupedFitOutput> FitGrouped(const Model& model, const Table& table,
 
 /// Materializes the grouped-fit output as a parameter table — the paper's
 /// Table 1 right-hand side. Schema: [<group_name> INT64, <one DOUBLE column
-/// per model parameter>, residual_se DOUBLE, r_squared DOUBLE, n_obs INT64].
+/// per model parameter>, residual_se DOUBLE, r_squared DOUBLE, n_obs INT64],
+/// one row per fitted group in ascending key order.
 Result<Table> GroupedFitToTable(const Model& model,
                                 const GroupedFitOutput& fits,
                                 const std::string& group_name);
+
+/// Read-only keyed view of a parameter table in the GroupedFitToTable
+/// layout, and the layout's only reader. It reads the columns in place
+/// (copies nothing) and lives as long as the viewed table. Keys ascend,
+/// so Find and KeyRange are binary searches. An ungrouped fit is viewed
+/// as one group with key 0.
+class ParameterView {
+ public:
+  /// Checks in O(1) that `table` has the layout for a
+  /// `num_parameters`-parameter model: column count, types, trailing
+  /// names, no NULLs. Key order is CheckKeysAscending's job.
+  static Result<ParameterView> Of(const Table& table, size_t num_parameters);
+  /// Views an ungrouped fit as group 0. Like a table view it copies
+  /// nothing: `parameters` and `quality` must outlive the view.
+  static Result<ParameterView> Single(const Vector& parameters,
+                                      const FitQuality& quality,
+                                      size_t num_parameters);
+
+  size_t size() const { return size_; }
+  int64_t key(size_t i) const { return keys_[i]; }
+  /// Writes group i's parameters into `out`, resizing it.
+  void Params(size_t i, Vector* out) const;
+  double residual_se(size_t i) const { return rse_[i]; }
+  double r_squared(size_t i) const { return r2_[i]; }
+  size_t n_obs(size_t i) const {
+    return n_obs_ == nullptr ? single_n_obs_ : static_cast<size_t>(n_obs_[i]);
+  }
+
+  /// Row of `key`, or size() when the key has no parameters.
+  size_t Find(int64_t key) const;
+  /// Rows [first, last) whose key, as a double, lies in [lo, hi].
+  std::pair<size_t, size_t> KeyRange(double lo, double hi) const;
+  /// O(n) check that keys strictly ascend, as Find and KeyRange assume.
+  /// GroupedFitToTable guarantees it; loaded images are checked.
+  Status CheckKeysAscending() const;
+
+ private:
+  size_t size_ = 0;
+  const int64_t* keys_ = nullptr;
+  std::vector<const double*> params_;  // one column per parameter
+  const double* rse_ = nullptr;
+  const double* r2_ = nullptr;
+  const int64_t* n_obs_ = nullptr;  // nullptr: single_n_obs_
+  size_t single_n_obs_ = 0;
+};
 
 }  // namespace laws
 

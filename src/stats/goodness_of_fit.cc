@@ -1,5 +1,6 @@
 #include "stats/goodness_of_fit.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 
@@ -64,18 +65,20 @@ Result<FitQuality> ComputeFitQuality(const std::vector<double>& observed,
   return q;
 }
 
-Result<double> PredictionHalfWidth(const FitQuality& quality,
-                                   double confidence) {
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    return Status::InvalidArgument("confidence must be in (0, 1)");
+double PredictionHalfWidth(double residual_se, size_t n_observations,
+                           size_t n_parameters) {
+  if (n_observations <= n_parameters) return residual_se;
+  const size_t df = n_observations - n_parameters;
+  if (df >= 200) return 1.96 * residual_se;
+  // The quantile inversion is too slow to repeat per group, so each df's
+  // is computed once; racing first callers store the same value.
+  static std::atomic<double> t_975[200];
+  double t = t_975[df].load();
+  if (t == 0.0) {
+    t = StudentTQuantile(0.975, static_cast<double>(df));
+    t_975[df].store(t);
   }
-  if (quality.n_observations <= quality.n_parameters) {
-    return Status::InvalidArgument("need n > p for prediction intervals");
-  }
-  const double df = static_cast<double>(quality.n_observations -
-                                        quality.n_parameters);
-  const double t = StudentTQuantile(0.5 * (1.0 + confidence), df);
-  return t * quality.residual_standard_error;
+  return t * residual_se;
 }
 
 Result<FTestResult> NestedFTest(double rss_reduced, size_t p_reduced,

@@ -54,13 +54,13 @@ Result<FTestResult> NestedFTest(double rss_reduced, size_t p_reduced,
                                 double rss_full, size_t p_full, size_t n,
                                 double alpha = 0.05);
 
-/// Half-width of a `confidence`-level prediction interval for a new
-/// observation under the fitted model's Gaussian error assumption:
-/// t_{(1+c)/2, n-p} * RSE. (Ignores the small parameter-uncertainty
-/// inflation term, which vanishes for n >> p — the AQP regime.) Returns
-/// InvalidArgument for confidence outside (0, 1) or n <= p.
-Result<double> PredictionHalfWidth(const FitQuality& quality,
-                                   double confidence = 0.95);
+/// Half-width of the 95% prediction interval for a new observation,
+/// t_{0.975, n-p} * RSE: the error bound model answers serve. Degrades to
+/// the RSE when n <= p; from df = 200 on, t is within half a percent of
+/// the normal 1.96 used there. (Ignores the parameter-uncertainty term,
+/// which vanishes for n >> p — the AQP regime.)
+double PredictionHalfWidth(double residual_se, size_t n_observations,
+                           size_t n_parameters);
 
 }  // namespace laws
 

@@ -89,7 +89,7 @@ TEST(EnvTest, MalformedIntegerKnobsFallBackToDefault) {
 /// Flag knobs: "0"/"false"/"off" disable, anything else non-empty
 /// enables, unset keeps the default.
 TEST(EnvTest, FlagKnobSemanticsPerKnob) {
-  const char* knobs[] = {"LAWS_TRACE"};
+  const char* knobs[] = {"LAWS_LEARNING"};
   for (const char* knob : knobs) {
     ASSERT_EQ(setenv(knob, "0", 1), 0);
     EXPECT_FALSE(EnvFlag(knob, true)) << knob;

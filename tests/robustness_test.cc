@@ -450,6 +450,120 @@ TEST(QuarantineTest, CorruptManifestStillLoadsModels) {
   EXPECT_EQ(report.quarantined[0].name, "model_catalog");
 }
 
+/// Ways a parameter table can be well-formed as a table, CRC-valid in
+/// its image, and still not be a parameter table.
+enum class Damage { kNarrow, kMistyped, kUnsorted };
+
+/// Rebuilds a parameter table with one kind of damage: a missing
+/// r_squared column, an INT64 first parameter, or keys in descending
+/// order.
+Table DamagedParameterTable(const Table& pt, Damage damage) {
+  std::vector<Field> fields;
+  std::vector<size_t> cols;
+  for (size_t c = 0; c < pt.num_columns(); ++c) {
+    Field f = pt.schema().field(c);
+    if (damage == Damage::kNarrow && f.name == "r_squared") continue;
+    if (damage == Damage::kMistyped && c == 1) f.type = DataType::kInt64;
+    fields.push_back(f);
+    cols.push_back(c);
+  }
+  Table out{Schema(std::move(fields))};
+  for (size_t i = 0; i < pt.num_rows(); ++i) {
+    const size_t r = damage == Damage::kUnsorted ? pt.num_rows() - 1 - i : i;
+    std::vector<Value> row;
+    for (size_t c : cols) {
+      Value v = pt.GetValue(r, c);
+      if (damage == Damage::kMistyped && c == 1) {
+        v = Value::Int64(static_cast<int64_t>(std::llround(*v.AsDouble())));
+      }
+      row.push_back(std::move(v));
+    }
+    EXPECT_TRUE(out.AppendRow(row).ok());
+  }
+  return out;
+}
+
+/// Serves `sql` through a hybrid engine over the given catalogs.
+HybridAnswer MustServe(const Catalog& data, const ModelCatalog& models,
+                       const std::string& sql) {
+  DomainRegistry domains;
+  ModelQueryEngine engine(&data, &models, &domains);
+  HybridQueryEngine hybrid(&data, &engine);
+  auto answer = hybrid.Execute(sql);
+  EXPECT_TRUE(answer.ok()) << sql << ": " << answer.status().ToString();
+  return answer.ok() ? std::move(*answer) : HybridAnswer{};
+}
+
+TEST(QuarantineTest, MalformedParameterTablesAreRejectedAtLoad) {
+  // Each case swaps one model's parameters for a malformed set, saves a
+  // CRC-valid image, and expects strict load to fail naming the model
+  // section and tolerant load to quarantine it, so that a read the model
+  // used to answer goes exact.
+  struct Case {
+    const char* what;
+    bool grouped;
+    void (*damage)(CapturedModel*);
+  };
+  const std::vector<Case> cases = {
+      {"narrow table", true,
+       [](CapturedModel* m) {
+         m->parameter_table =
+             DamagedParameterTable(m->parameter_table, Damage::kNarrow);
+       }},
+      {"mistyped table", true,
+       [](CapturedModel* m) {
+         m->parameter_table =
+             DamagedParameterTable(m->parameter_table, Damage::kMistyped);
+       }},
+      {"unsorted table", true,
+       [](CapturedModel* m) {
+         m->parameter_table =
+             DamagedParameterTable(m->parameter_table, Damage::kUnsorted);
+       }},
+      {"short parameter vector", false,
+       [](CapturedModel* m) { m->parameters.resize(1); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    Fixture f;
+    const uint64_t id = c.grouped ? f.plaw_model_id : f.lin_model_id;
+    const std::string sql = c.grouped
+                                ? "SELECT y FROM plaw WHERE g = 3 AND x = 0.15"
+                                : "SELECT y FROM lin WHERE x = 5.0";
+    // The intact model answers this read.
+    EXPECT_TRUE(MustServe(f.data, f.models, sql).approximate);
+
+    CapturedModel damaged = **f.models.Get(id);
+    c.damage(&damaged);
+    ASSERT_TRUE(f.models.Remove(id).ok());
+    ASSERT_TRUE(f.models.RestoreWithId(std::move(damaged)).ok());
+    const std::vector<uint8_t> bytes = MustSave(f);
+    const std::string section = "model/" + std::to_string(id);
+
+    Catalog d;
+    ModelCatalog m;
+    const Status strict = LoadDatabaseFromBytes(bytes, &d, &m);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.code(), StatusCode::kParseError) << strict.ToString();
+    EXPECT_NE(strict.message().find(section), std::string::npos)
+        << strict.ToString();
+
+    LoadOptions tolerant;
+    tolerant.tolerate_corruption = true;
+    Catalog d2;
+    ModelCatalog m2;
+    LoadReport report;
+    ASSERT_TRUE(LoadDatabaseFromBytes(bytes, &d2, &m2, tolerant, &report).ok());
+    ASSERT_EQ(report.quarantined.size(), 1u);
+    EXPECT_EQ(report.quarantined[0].name, section);
+    EXPECT_FALSE(m2.Get(id).ok());
+    EXPECT_EQ(report.models_loaded, 1u);  // the other model survives
+    const HybridAnswer served = MustServe(d2, m2, sql);
+    EXPECT_EQ(served.method, "exact");
+    EXPECT_FALSE(served.approximate);
+  }
+}
+
 // --- Atomic save / fault matrix ----------------------------------------------
 
 TEST(AtomicSaveTest, EverySavePathFaultLeavesPreviousImageIntact) {

@@ -18,26 +18,14 @@
 #
 # Usage: tools/check_asan.sh [ctest-args...]
 #   LAWS_ASAN_BUILD_DIR  override the build tree (default: build-asan)
-#   LAWS_ASAN_JOBS       parallel build jobs (default: nproc)
+#   LAWS_JOBS            parallel build jobs (default: nproc)
 #   LAWS_FUZZ_QUERIES    differential sweep size (default 2000); the
 #   LAWS_FUZZ_SEED       seeded differential_test runs as part of ctest,
 #                        so the whole fuzz sweep executes sanitized here
-set -euo pipefail
-
-cd "$(dirname "$0")/.."
+source "$(dirname "$0")/gate_common.sh"
 BUILD_DIR="${LAWS_ASAN_BUILD_DIR:-build-asan}"
-JOBS="${LAWS_ASAN_JOBS:-$(nproc)}"
 
-cmake -B "$BUILD_DIR" -S . -DLAWS_SANITIZE=address,undefined \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j "$JOBS"
-
-# detect_leaks catches FitScratch/arena lifetime bugs; UBSan aborts on the
-# first report so failures surface as test failures, not log noise.
-export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 strict_string_checks=1}"
-export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
-# LAWS_THREADS>1 so the parallel paths actually fan out even on 1-core CI.
-export LAWS_THREADS="${LAWS_THREADS:-4}"
+build_tree "$BUILD_DIR" asan
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
 echo "ASan/UBSan-instrumented test suite passed."

@@ -7,7 +7,7 @@
 #
 # Usage: tools/check_coverage.sh [ctest-args...]
 #   LAWS_COV_BUILD_DIR  override the build tree (default: build-cov)
-#   LAWS_COV_JOBS       parallel build jobs (default: nproc)
+#   LAWS_JOBS           parallel build jobs (default: nproc)
 #   LAWS_COV_MIN        fail if total line coverage (%) falls below this
 #   LAWS_COV_BYTECODE_MIN  per-file floor (%) for the correctness-critical
 #                          scan/expression tiers (src/query/bytecode* +
@@ -21,15 +21,11 @@
 #                          broken, or a model catalog quietly corrupted
 #                          by harvested statistics) must not quietly
 #                          lose their tests
-set -euo pipefail
-
-cd "$(dirname "$0")/.."
+source "$(dirname "$0")/gate_common.sh"
 ROOT="$(pwd)"
 BUILD_DIR="${LAWS_COV_BUILD_DIR:-build-cov}"
-JOBS="${LAWS_COV_JOBS:-$(nproc)}"
 
-cmake -B "$BUILD_DIR" -S . -DLAWS_COVERAGE=ON -DCMAKE_BUILD_TYPE=Debug
-cmake --build "$BUILD_DIR" -j "$JOBS"
+build_tree "$BUILD_DIR" coverage
 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
 
 GCOV_DIR="$BUILD_DIR/gcov-out"

@@ -24,29 +24,19 @@
 #   LAWS_FUZZ_SEED         base seed (default harness-chosen)
 #   LAWS_DIFF_BUILD_DIR    sanitizer build tree (default build-diff)
 #   LAWS_DIFF_MUTANT_DIR   mutant build tree (default build-diff-mutant)
-#   LAWS_DIFF_JOBS         parallel build jobs (default nproc)
-set -euo pipefail
-
-cd "$(dirname "$0")/.."
+#   LAWS_JOBS              parallel build jobs (default nproc)
+source "$(dirname "$0")/gate_common.sh"
 BUILD_DIR="${LAWS_DIFF_BUILD_DIR:-build-diff}"
 MUTANT_DIR="${LAWS_DIFF_MUTANT_DIR:-build-diff-mutant}"
-JOBS="${LAWS_DIFF_JOBS:-$(nproc)}"
 QUERIES="${LAWS_FUZZ_QUERIES:-2000}"
 
-cmake -B "$BUILD_DIR" -S . -DLAWS_SANITIZE=address,undefined \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j "$JOBS" --target differential_test
-
-export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 strict_string_checks=1}"
-export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
+build_tree "$BUILD_DIR" asan differential_test
 
 echo "== differential sweep: $QUERIES queries under ASan/UBSan =="
 LAWS_FUZZ_QUERIES="$QUERIES" "$BUILD_DIR/tests/differential_test"
 
 echo "== mutation smoke: injected aggregate + bytecode + zone-map + harvest bugs must be caught =="
-cmake -B "$MUTANT_DIR" -S . -DLAWS_TESTING_INJECT_BUG=ON \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$MUTANT_DIR" -j "$JOBS" --target differential_test
+build_tree "$MUTANT_DIR" mutant differential_test
 "$MUTANT_DIR/tests/differential_test" \
   --gtest_filter='DifferentialTest.MutationSmokeCatchesInjectedBug:DifferentialTest.MutationSmokeCatchesInjectedBytecodeBug:DifferentialTest.MutationSmokeCatchesInjectedZoneMapBug:DifferentialTest.MutationSmokeCatchesInjectedHarvestBug'
 

@@ -26,24 +26,15 @@
 #                        check_differential.sh)
 #   LAWS_GOV_TSAN_DIR    TSan build tree (default build-tsan, shared with
 #                        check_tsan.sh)
-#   LAWS_GOV_JOBS        parallel build jobs (default nproc)
-set -euo pipefail
-
-cd "$(dirname "$0")/.."
+#   LAWS_JOBS            parallel build jobs (default nproc)
+source "$(dirname "$0")/gate_common.sh"
 ASAN_DIR="${LAWS_GOV_ASAN_DIR:-build-diff}"
 TSAN_DIR="${LAWS_GOV_TSAN_DIR:-build-tsan}"
-JOBS="${LAWS_GOV_JOBS:-$(nproc)}"
 QUERIES="${LAWS_CHAOS_QUERIES:-2000}"
 
-export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 strict_string_checks=1}"
-export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
-export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-
 echo "== build (ASan+UBSan) =="
-cmake -B "$ASAN_DIR" -S . -DLAWS_SANITIZE=address,undefined \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" -j "$JOBS" \
-  --target governor_test thread_pool_test differential_test lawsdb_shell
+build_tree "$ASAN_DIR" asan \
+  governor_test thread_pool_test differential_test lawsdb_shell
 
 echo "== governor unit + integration tests (ASan/UBSan) =="
 "$ASAN_DIR/tests/governor_test"
@@ -54,10 +45,7 @@ LAWS_CHAOS_QUERIES="$QUERIES" "$ASAN_DIR/tests/differential_test" \
   --gtest_filter='DifferentialTest.GovernorChaosSweepHoldsInvariant'
 
 echo "== build (TSan) =="
-cmake -B "$TSAN_DIR" -S . -DLAWS_SANITIZE=thread \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$TSAN_DIR" -j "$JOBS" \
-  --target governor_test thread_pool_test differential_test
+build_tree "$TSAN_DIR" tsan governor_test thread_pool_test differential_test
 
 echo "== governor unit + swap-race tests (TSan) =="
 "$TSAN_DIR/tests/governor_test"

@@ -27,28 +27,16 @@
 #   LAWS_LEARN_TSAN_DIR  TSan build tree (default build-tsan, shared with
 #                        check_tsan.sh)
 #   LAWS_LEARN_MUTANT_DIR mutant build tree (default build-diff-mutant)
-#   LAWS_LEARN_JOBS      parallel build jobs (default nproc)
+#   LAWS_JOBS            parallel build jobs (default nproc)
 #   LAWS_LEARN_FUZZ_QUERIES  queries in the learning sweep (default 3000)
-set -euo pipefail
-
-cd "$(dirname "$0")/.."
+source "$(dirname "$0")/gate_common.sh"
 ASAN_DIR="${LAWS_LEARN_ASAN_DIR:-build-diff}"
 TSAN_DIR="${LAWS_LEARN_TSAN_DIR:-build-tsan}"
 MUTANT_DIR="${LAWS_LEARN_MUTANT_DIR:-build-diff-mutant}"
-JOBS="${LAWS_LEARN_JOBS:-$(nproc)}"
 QUERIES="${LAWS_LEARN_FUZZ_QUERIES:-3000}"
 
-export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 strict_string_checks=1}"
-export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
-export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-# LAWS_THREADS>1 so the background-tick pool actually fans out on 1-core CI.
-export LAWS_THREADS="${LAWS_THREADS:-4}"
-
 echo "== build (ASan+UBSan) =="
-cmake -B "$ASAN_DIR" -S . -DLAWS_SANITIZE=address,undefined \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" -j "$JOBS" \
-  --target learn_test differential_test lawsdb_shell
+build_tree "$ASAN_DIR" asan learn_test differential_test lawsdb_shell
 
 echo "== learn suite (ASan/UBSan) =="
 "$ASAN_DIR/tests/learn_test"
@@ -58,17 +46,13 @@ LAWS_LEARN_FUZZ_QUERIES="$QUERIES" "$ASAN_DIR/tests/differential_test" \
   --gtest_filter='DifferentialTest.LearningSweepMatchesReference:DifferentialTest.HarvestProbeAgreesWhenHealthy'
 
 echo "== build (TSan) =="
-cmake -B "$TSAN_DIR" -S . -DLAWS_SANITIZE=thread \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$TSAN_DIR" -j "$JOBS" --target learn_test
+build_tree "$TSAN_DIR" tsan learn_test
 
 echo "== learn suite incl. concurrency soak (TSan) =="
 "$TSAN_DIR/tests/learn_test"
 
 echo "== mutation smoke: corrupted statistics merge must be caught =="
-cmake -B "$MUTANT_DIR" -S . -DLAWS_TESTING_INJECT_BUG=ON \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$MUTANT_DIR" -j "$JOBS" --target differential_test
+build_tree "$MUTANT_DIR" mutant differential_test
 "$MUTANT_DIR/tests/differential_test" \
   --gtest_filter='DifferentialTest.MutationSmokeCatchesInjectedHarvestBug'
 

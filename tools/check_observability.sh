@@ -20,12 +20,9 @@
 #
 # Usage: tools/check_observability.sh
 #   LAWS_OBS_BUILD_DIR  override the build tree (default: build)
-#   LAWS_OBS_JOBS       parallel build jobs (default: nproc)
-set -euo pipefail
-
-cd "$(dirname "$0")/.."
+#   LAWS_JOBS           parallel build jobs (default: nproc)
+source "$(dirname "$0")/gate_common.sh"
 BUILD_DIR="${LAWS_OBS_BUILD_DIR:-build}"
-JOBS="${LAWS_OBS_JOBS:-$(nproc)}"
 
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release

@@ -13,21 +13,12 @@
 #
 # Usage: tools/check_robustness.sh [ctest-args...]
 #   LAWS_ROBUST_BUILD_DIR  override the build tree (default: build-asan)
-#   LAWS_ROBUST_JOBS       parallel build jobs (default: nproc)
-set -euo pipefail
-
-cd "$(dirname "$0")/.."
+#   LAWS_JOBS              parallel build jobs (default: nproc)
+source "$(dirname "$0")/gate_common.sh"
 BUILD_DIR="${LAWS_ROBUST_BUILD_DIR:-build-asan}"
-JOBS="${LAWS_ROBUST_JOBS:-$(nproc)}"
 
-cmake -B "$BUILD_DIR" -S . -DLAWS_SANITIZE=address,undefined \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j "$JOBS" --target robustness_test common_test \
-  core_test lawsdb_shell
-
-export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 strict_string_checks=1}"
-export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
-export LAWS_THREADS="${LAWS_THREADS:-4}"
+build_tree "$BUILD_DIR" asan robustness_test common_test core_test \
+  lawsdb_shell
 
 # The sweep + fault matrix, plus the parser-hardening regression tests in
 # common_test and the persistence round-trips in core_test.

@@ -21,32 +21,19 @@
 #                        check_differential.sh / check_governor.sh)
 #   LAWS_SERVE_TSAN_DIR  TSan build tree (default build-tsan, shared with
 #                        check_tsan.sh)
-#   LAWS_SERVE_JOBS      parallel build jobs (default nproc)
-set -euo pipefail
-
-cd "$(dirname "$0")/.."
+#   LAWS_JOBS            parallel build jobs (default nproc)
+source "$(dirname "$0")/gate_common.sh"
 ASAN_DIR="${LAWS_SERVE_ASAN_DIR:-build-diff}"
 TSAN_DIR="${LAWS_SERVE_TSAN_DIR:-build-tsan}"
-JOBS="${LAWS_SERVE_JOBS:-$(nproc)}"
-
-export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 strict_string_checks=1}"
-export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
-export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-# LAWS_THREADS>1 so the pool actually fans out even on 1-core CI.
-export LAWS_THREADS="${LAWS_THREADS:-4}"
 
 echo "== build (ASan+UBSan) =="
-cmake -B "$ASAN_DIR" -S . -DLAWS_SANITIZE=address,undefined \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" -j "$JOBS" --target serve_test lawsdb_shell
+build_tree "$ASAN_DIR" asan serve_test lawsdb_shell
 
 echo "== serving suite (ASan/UBSan) =="
 "$ASAN_DIR/tests/serve_test"
 
 echo "== build (TSan) =="
-cmake -B "$TSAN_DIR" -S . -DLAWS_SANITIZE=thread \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$TSAN_DIR" -j "$JOBS" --target serve_test
+build_tree "$TSAN_DIR" tsan serve_test
 
 echo "== serving suite (TSan) =="
 "$TSAN_DIR/tests/serve_test"

@@ -18,22 +18,15 @@
 #
 # Usage: tools/check_tsan.sh [ctest-args...]
 #   LAWS_TSAN_BUILD_DIR  override the build tree (default: build-tsan)
-#   LAWS_TSAN_JOBS       parallel build jobs (default: nproc)
-set -euo pipefail
-
-cd "$(dirname "$0")/.."
-BUILD_DIR="${LAWS_TSAN_BUILD_DIR:-build-tsan}"
-JOBS="${LAWS_TSAN_JOBS:-$(nproc)}"
-
-cmake -B "$BUILD_DIR" -S . -DLAWS_SANITIZE=thread \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j "$JOBS"
-
+#   LAWS_JOBS            parallel build jobs (default: nproc)
 # second_deadlock_stack aids diagnosis; history_size bumps TSan's per-thread
 # memory-access history so long fitting loops don't lose report stacks.
+# Set before the shared preamble, whose default would otherwise win.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-second_deadlock_stack=1 history_size=4}"
-# LAWS_THREADS>1 so the parallel paths actually fan out even on 1-core CI.
-export LAWS_THREADS="${LAWS_THREADS:-4}"
+source "$(dirname "$0")/gate_common.sh"
+BUILD_DIR="${LAWS_TSAN_BUILD_DIR:-build-tsan}"
+
+build_tree "$BUILD_DIR" tsan
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
 echo "TSan-instrumented test suite passed."
